@@ -37,8 +37,7 @@ int run() {
 
     core::Hierarchy hs = prepare_helix_hierarchy(p, procs);
     simarch::SimMachine ms(cfg);
-    const double ts =
-        core::solve_hierarchical_sim(hs, p.initial, opts, ms).vtime;
+    const double ts = core::SolvePlan(hs, opts).run(ms, p.initial).vtime;
 
     core::Hierarchy hd = prepare_helix_hierarchy(p, procs);
     simarch::SimMachine md(cfg);

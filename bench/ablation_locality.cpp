@@ -57,7 +57,7 @@ int run() {
     par::SerialContext ctx;
     core::HierSolveOptions opts;  // one cycle
     Stopwatch sw;
-    core::solve_hierarchical(ctx, h, p.initial, opts);
+    core::SolvePlan(h, opts).run(ctx, p.initial);
     const double total = sw.seconds();
     if (q == 0.0) base = total;
     t.add_row({format_fixed(q, 2), format_fixed(total, 3),

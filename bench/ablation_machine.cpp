@@ -30,8 +30,8 @@ Point run_machine(const HelixProblem& p, const simarch::MachineConfig& cfg) {
   for (int procs : {1, 32}) {
     core::Hierarchy h = prepare_helix_hierarchy(p, procs);
     simarch::SimMachine machine(cfg);
-    const core::SimSolveResult res =
-        core::solve_hierarchical_sim(h, p.initial, opts, machine);
+    const core::PlanRunStats res =
+        core::SolvePlan(h, opts).run(machine, p.initial);
     if (procs == 1) {
       out.t1 = res.vtime;
       out.ds1 = res.breakdown.time(perf::Category::kDenseSparse);

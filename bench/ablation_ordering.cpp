@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "estimation/solver.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -33,19 +32,15 @@ struct Outcome {
 
 Outcome run_flat(const HelixProblem& p, const cons::ConstraintSet& ordered,
                  const linalg::Vector& x0) {
-  est::NodeState st;
-  st.atom_begin = 0;
-  st.atom_end = p.model.num_atoms();
-  st.x = x0;
-  st.reset_covariance(0.5);
-  par::SerialContext ctx;
-  est::SolveOptions opts;
-  opts.prior_sigma = 0.5;
-  opts.max_cycles = 60;
-  opts.tolerance = 0.03;
-  const est::SolveResult r = est::solve_flat(ctx, st, ordered, opts);
+  engine::CompileOptions opts;
+  opts.solve.prior_sigma = 0.5;
+  opts.solve.max_cycles = 60;
+  opts.solve.tolerance = 0.03;
+  engine::Plan plan = Engine::compile(
+      engine::Problem::flat(p.model.num_atoms(), ordered), opts);
+  const engine::Result r = plan.solve(x0);
   return {r.cycles, r.converged,
-          cons::rms_residual(ordered, p.model.topology, st.x),
+          cons::rms_residual(ordered, p.model.topology, r.posterior().x),
           r.last_cycle_delta};
 }
 
@@ -117,12 +112,13 @@ int run() {
     opts.prior_sigma = 0.5;
     opts.max_cycles = 60;
     opts.tolerance = 0.03;
-    const core::HierSolveResult r =
-        core::solve_hierarchical(ctx, h, p.initial, opts);
+    core::SolvePlan plan(h, opts);
+    const core::PlanRunStats r = plan.run(ctx, p.initial);
     t.add_row({"hierarchical", std::to_string(r.cycles),
                r.converged ? "yes" : "no",
                format_fixed(cons::rms_residual(p.constraints,
-                                               p.model.topology, r.state.x),
+                                               p.model.topology,
+                                               plan.root_state().x),
                             4),
                format_fixed(r.last_cycle_delta, 4)});
   }

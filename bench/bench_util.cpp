@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 #include "linalg/backend.hpp"
@@ -120,6 +121,40 @@ int run_speedup_table(const SpeedupSpec& spec) {
               spec.machine.name.c_str());
   std::printf("%s\n", spec.paper_note.c_str());
   return 0;
+}
+
+int parse_output_args(int argc, char** argv, const std::string& default_out,
+                      std::string* out) {
+  const char* slash = std::strrchr(argv[0], '/');
+  const char* name = slash != nullptr ? slash + 1 : argv[0];
+  const auto usage = [&](std::FILE* stream) {
+    std::fprintf(stream,
+                 "usage: %s [--help] [OUT.json]\n"
+                 "  Runs the benchmark and writes its JSON document to "
+                 "OUT.json\n"
+                 "  (default: $PHMSE_BENCH_OUT, else %s).\n"
+                 "  Environment: PHMSE_BENCH_SCALE (< 0.5 = smoke run), "
+                 "PHMSE_BENCH_SEED.\n",
+                 name, default_out.c_str());
+  };
+  *out = env_string("PHMSE_BENCH_OUT", default_out);
+  bool have_path = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      usage(stdout);
+      return 0;
+    }
+    if (arg.starts_with("-") || have_path) {
+      std::fprintf(stderr, "%s: unexpected argument '%s'\n", name,
+                   arg.c_str());
+      usage(stderr);
+      return 2;
+    }
+    *out = arg;
+    have_path = true;
+  }
+  return -1;
 }
 
 double time_best(const std::function<void()>& fn, int min_reps,

@@ -14,7 +14,7 @@
 #include "constraints/helix_gen.hpp"
 #include "constraints/ribo_gen.hpp"
 #include "core/assign.hpp"
-#include "core/hier_solver.hpp"
+#include "core/solve_plan.hpp"
 #include "core/schedule.hpp"
 #include "core/work_model.hpp"
 #include "engine/engine.hpp"
@@ -121,6 +121,15 @@ struct KernelBenchRecord {
 /// not masquerade as a kernel regression.
 double time_best(const std::function<void()>& fn, int min_reps,
                  int* reps_out);
+
+/// Command line of the *_regress harnesses: `[--help] [OUT.json]`.  Sets
+/// `*out` to the positional path, else PHMSE_BENCH_OUT, else
+/// `default_out`.  Returns -1 when the harness should run; otherwise the
+/// exit code to return at once: 0 after --help/-h printed the usage, 2
+/// after an unknown '-'-prefixed option or a second path (usage on
+/// stderr).
+int parse_output_args(int argc, char** argv, const std::string& default_out,
+                      std::string* out);
 
 /// Writes `records` to `path` as a phmse-kernel-bench-v1 JSON document.
 /// Throws phmse::Error if the file cannot be written.

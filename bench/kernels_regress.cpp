@@ -12,6 +12,7 @@
 //
 //   ./build/bench/kernels_regress            # writes BENCH_kernels.json
 //   ./build/bench/kernels_regress out.json   # explicit output path
+//   ./build/bench/kernels_regress --help     # usage; runs nothing
 //
 // Honours PHMSE_BENCH_SCALE (< 0.5 switches to tiny smoke shapes for CI),
 // PHMSE_BENCH_SEED and PHMSE_BENCH_OUT (default output path).
@@ -236,8 +237,9 @@ int run_all(const std::string& out_path) {
 }  // namespace phmse::bench
 
 int main(int argc, char** argv) {
-  const std::string out =
-      argc > 1 ? argv[1]
-               : phmse::env_string("PHMSE_BENCH_OUT", "BENCH_kernels.json");
+  std::string out;
+  const int code =
+      phmse::bench::parse_output_args(argc, argv, "BENCH_kernels.json", &out);
+  if (code >= 0) return code;
   return phmse::bench::run_all(out);
 }

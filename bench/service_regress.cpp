@@ -36,7 +36,6 @@
 #include "bench_util.hpp"
 #include "service/server.hpp"
 #include "support/check.hpp"
-#include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 
@@ -275,8 +274,9 @@ int run(const std::string& out_path) {
 }  // namespace phmse::bench
 
 int main(int argc, char** argv) {
-  const std::string out =
-      argc > 1 ? argv[1]
-               : phmse::env_string("PHMSE_BENCH_OUT", "BENCH_service.json");
+  std::string out;
+  const int code =
+      phmse::bench::parse_output_args(argc, argv, "BENCH_service.json", &out);
+  if (code >= 0) return code;
   return phmse::bench::run(out);
 }

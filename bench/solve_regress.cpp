@@ -10,6 +10,7 @@
 //
 //   ./build/bench/solve_regress              # writes BENCH_solver.json
 //   ./build/bench/solve_regress out.json    # explicit output path
+//   ./build/bench/solve_regress --help      # usage; runs nothing
 //
 // Honours PHMSE_BENCH_SCALE (< 0.5 switches to a 2-bp smoke helix),
 // PHMSE_BENCH_SEED and PHMSE_BENCH_OUT (default output path).
@@ -20,7 +21,6 @@
 
 #include "bench_util.hpp"
 #include "refine/refiner.hpp"
-#include "support/env.hpp"
 #include "support/stopwatch.hpp"
 
 namespace phmse::bench {
@@ -202,11 +202,11 @@ int run_all(const std::string& out_path) {
     // of them the same way; every timed region includes set_observations —
     // the diff marking is part of each path's cost:
     //  - full: set_observations + solve() re-runs the whole tree;
-    //  - exact replay: solve_incremental re-executes the dirty leaf's root
-    //    path and replays every sibling (bitwise-identical; reported
+    //  - exact replay: an incremental solve re-executes the dirty leaf's
+    //    root path and replays every sibling (bitwise-identical; reported
     //    informationally — the root path's constraint re-application caps
     //    it near 1.6x on this tree shape);
-    //  - fast path: solve_lowrank shifts the checkpointed root mean by
+    //  - fast path: a low-rank solve shifts the checkpointed root mean by
     //    C.H^T.R^-1.dz from the archived Jacobian row — O(k n) per rebind,
     //    first-order accurate, exact fallback whenever it cannot answer.
     // The fast path is what a caller uses for repeated single-slot
@@ -246,18 +246,20 @@ int run_all(const std::string& out_path) {
       best_full = std::min(best_full, sf.seconds());
       Stopwatch si;
       inc_plan.set_observations(values);
-      const engine::Result ir = inc_plan.solve_incremental(p.initial);
+      const engine::Result ir =
+          inc_plan.solve(p.initial, {.mode = engine::RunMode::kIncremental});
       best_inc = std::min(best_inc, si.seconds());
       reused = ir.report.nodes_reused;
       recomputed = ir.report.nodes_recomputed;
       Stopwatch sl;
       lr_plan.set_observations(values);
-      const engine::Result lr = lr_plan.solve_lowrank(p.initial);
+      const engine::Result lr =
+          lr_plan.solve(p.initial, {.mode = engine::RunMode::kLowRank});
       best_lr = std::min(best_lr, sl.seconds());
       all_low_rank = all_low_rank && lr.report.low_rank;
     }
     if (!all_low_rank) {
-      std::printf("  WARNING: a solve_lowrank round fell back to the exact "
+      std::printf("  WARNING: a low-rank round fell back to the exact "
                   "path; the incremental row is not timing the shortcut\n");
     }
 
@@ -291,8 +293,9 @@ int run_all(const std::string& out_path) {
 }  // namespace phmse::bench
 
 int main(int argc, char** argv) {
-  const std::string out =
-      argc > 1 ? argv[1]
-               : phmse::env_string("PHMSE_BENCH_OUT", "BENCH_solver.json");
+  std::string out;
+  const int code =
+      phmse::bench::parse_output_args(argc, argv, "BENCH_solver.json", &out);
+  if (code >= 0) return code;
   return phmse::bench::run_all(out);
 }

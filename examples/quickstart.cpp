@@ -12,7 +12,6 @@
 
 #include "constraints/set.hpp"
 #include "engine/engine.hpp"
-#include "estimation/solver.hpp"
 #include "molecule/topology.hpp"
 #include "support/rng.hpp"
 

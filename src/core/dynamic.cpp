@@ -76,10 +76,9 @@ std::vector<std::pair<int, int>> wave_groups(
 
 }  // namespace
 
-SimSolveResult solve_hierarchical_dynamic_sim(Hierarchy& hierarchy,
-                                              const Vector& initial_x,
-                                              const HierSolveOptions& options,
-                                              simarch::SimMachine& machine) {
+DynamicSimResult solve_hierarchical_dynamic_sim(
+    Hierarchy& hierarchy, const Vector& initial_x,
+    const HierSolveOptions& options, simarch::SimMachine& machine) {
   PHMSE_CHECK(static_cast<Index>(initial_x.size()) == hierarchy.root().dim(),
               "initial state dimension mismatch");
   PHMSE_CHECK(options.max_cycles >= 1, "need at least one cycle");
@@ -88,7 +87,7 @@ SimSolveResult solve_hierarchical_dynamic_sim(Hierarchy& hierarchy,
   std::vector<std::vector<HierNode*>> levels;
   collect_levels(hierarchy.root(), 0, levels);
 
-  SimSolveResult out;
+  DynamicSimResult out;
   Vector current = initial_x;
   est::BatchUpdater updater;
   updater.set_backend(
@@ -147,28 +146,28 @@ SimSolveResult solve_hierarchical_dynamic_sim(Hierarchy& hierarchy,
           state = std::move(assembled);
         }
         updater.apply_all(ctx, state, node->constraints, options.batch_size,
-                          options.symmetrize_every);
+                          options.symmetrize_every, options.policy);
         states.emplace(node, std::move(state));
       }
       // Periodic global synchronization between waves.
       machine.sync_range(0, procs);
     }
 
-    out.result.state = std::move(states.at(&hierarchy.root()));
-    ++out.result.cycles;
+    out.state = std::move(states.at(&hierarchy.root()));
+    ++out.cycles;
     double sum = 0.0;
     for (std::size_t i = 0; i < current.size(); ++i) {
-      const double d = out.result.state.x[i] - current[i];
+      const double d = out.state.x[i] - current[i];
       sum += d * d;
     }
-    out.result.last_cycle_delta =
+    out.last_cycle_delta =
         current.empty()
             ? 0.0
             : std::sqrt(sum / static_cast<double>(current.size()));
-    current = out.result.state.x;
+    current = out.state.x;
     if (options.tolerance > 0.0 &&
-        out.result.last_cycle_delta < options.tolerance) {
-      out.result.converged = true;
+        out.last_cycle_delta < options.tolerance) {
+      out.converged = true;
       break;
     }
   }

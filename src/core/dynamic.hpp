@@ -15,16 +15,29 @@
 // with the static schedule.
 #pragma once
 
-#include "core/hier_solver.hpp"
+#include "core/solve_plan.hpp"
 
 namespace phmse::core {
 
+/// Outcome of a dynamic-schedule simulated solve.
+struct DynamicSimResult {
+  /// Root posterior.
+  est::NodeState state;
+  int cycles = 0;
+  double last_cycle_delta = 0.0;
+  bool converged = false;
+  /// Simulated work time (max virtual clock), seconds.
+  double vtime = 0.0;
+  /// Per-category time: max over processors (paper Tables 3-6 convention).
+  perf::Profile breakdown;
+};
+
 /// Simulated hierarchical solve with per-wave dynamic processor groups.
 /// estimate_work() must have been called (group sizes follow own_work);
-/// the static schedule, if any, is ignored.
-SimSolveResult solve_hierarchical_dynamic_sim(Hierarchy& hierarchy,
-                                              const linalg::Vector& initial_x,
-                                              const HierSolveOptions& options,
-                                              simarch::SimMachine& machine);
+/// the static schedule, if any, is ignored.  Every node applies its
+/// batches under options.policy, exactly as the static schedule does.
+DynamicSimResult solve_hierarchical_dynamic_sim(
+    Hierarchy& hierarchy, const linalg::Vector& initial_x,
+    const HierSolveOptions& options, simarch::SimMachine& machine);
 
 }  // namespace phmse::core

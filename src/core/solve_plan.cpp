@@ -456,6 +456,7 @@ bool SolvePlan::try_run_lowrank(par::ExecContext& ctx, const Vector& initial_x,
   // scaled sweep over a handful of covariance rows: O(nnz * n) per change.
   const Index n = root.state.dim();
   lowrank_dx_.assign(static_cast<std::size_t>(n), 0.0);
+  const perf::Profile before = ctx.profile();
   ctx.sequential(
       perf::Category::kMatVec,
       [&](Index, Index) {
@@ -521,69 +522,12 @@ bool SolvePlan::try_run_lowrank(par::ExecContext& ctx, const Vector& initial_x,
   stats->low_rank = true;
   stats->nodes_recomputed = 0;
   stats->nodes_reused = static_cast<long>(nodes_.size());
+  stats->breakdown = ctx.profile().minus(before);
   report_.incremental = true;
   report_.low_rank = true;
   report_.nodes_recomputed = 0;
   report_.nodes_reused = stats->nodes_reused;
   return true;
-}
-
-PlanRunStats SolvePlan::run_impl_(par::ExecContext& ctx,
-                                  const Vector& initial_x,
-                                  bool want_incremental) {
-  const ScopedCancelBind bind(ctx, cancel_);
-  return run_cycles_(initial_x, want_incremental, [&](const Vector& x0) {
-    // nodes_ is post-order, so children are always updated before their
-    // parent reads them: the recursion flattens to one loop.
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (cycle_incremental_ && !exec_[i]) continue;
-      update_node_(ctx, nodes_[i], x0);
-    }
-  });
-}
-
-PlanRunStats SolvePlan::run(par::ExecContext& ctx, const Vector& initial_x) {
-  return run_impl_(ctx, initial_x, /*want_incremental=*/false);
-}
-
-PlanRunStats SolvePlan::run_incremental(par::ExecContext& ctx,
-                                        const Vector& initial_x) {
-  return run_impl_(ctx, initial_x, /*want_incremental=*/true);
-}
-
-PlanRunStats SolvePlan::run_sim_impl_(simarch::SimMachine& machine,
-                                      const Vector& initial_x,
-                                      bool want_incremental) {
-  machine.reset();
-  return run_cycles_(initial_x, want_incremental, [&](const Vector& x0) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      NodeWork& w = nodes_[i];
-      // Skipped nodes cost no virtual time and force no clock sync: the
-      // simulated timeline reflects only the dirty path's work.
-      if (cycle_incremental_ && !exec_[i]) continue;
-      // The node's team forms once all children are done: the virtual
-      // clocks of its processors join at the max (children ran on disjoint
-      // sub-ranges).
-      machine.sync_range(w.node->proc_first, w.node->proc_count);
-      simarch::SimContext ctx(machine, w.node->proc_first,
-                              w.node->proc_count);
-      // The simulated clock is virtual but the deadline clock is real:
-      // polls read the host's steady clock, so a wall-clock budget bounds
-      // a simulated solve exactly like a real one.
-      ctx.bind_cancel_token(cancel_);
-      update_node_(ctx, w, x0);
-    }
-  });
-}
-
-PlanRunStats SolvePlan::run_sim(simarch::SimMachine& machine,
-                                const Vector& initial_x) {
-  return run_sim_impl_(machine, initial_x, /*want_incremental=*/false);
-}
-
-PlanRunStats SolvePlan::run_sim_incremental(simarch::SimMachine& machine,
-                                            const Vector& initial_x) {
-  return run_sim_impl_(machine, initial_x, /*want_incremental=*/true);
 }
 
 // Threaded recursion: subtrees with disjoint processor groups run as tasks
@@ -641,36 +585,72 @@ void SolvePlan::run_threaded_node_(par::ThreadPool& pool, std::size_t index,
   w.profile += ctx.profile();
 }
 
-PlanRunStats SolvePlan::run_threaded_impl_(par::ThreadPool& pool,
-                                           const Vector& initial_x,
-                                           bool want_incremental) {
-  for (NodeWork& w : nodes_) w.profile.clear();
-  PlanRunStats stats = run_cycles_(initial_x, want_incremental,
-                                   [&](const Vector& x0) {
-    par::TaskGroup group(1);
-    group.bind_cancel_token(cancel_);
-    try {
-      pool.submit(hierarchy_->root().proc_first, [&] {
-        group.run([&] { run_threaded_node_(pool, nodes_.size() - 1, x0); });
-      });
-    } catch (...) {
-      group.fail(std::current_exception());
-    }
-    group.join();  // waits, then rethrows a subtree failure on this thread
-  });
-  threaded_profile_.clear();
-  for (const NodeWork& w : nodes_) threaded_profile_ += w.profile;
+PlanRunStats SolvePlan::run(Executor executor, const Vector& initial_x,
+                            bool incremental) {
+  if (executor.machine != nullptr) {
+    simarch::SimMachine& machine = *executor.machine;
+    machine.reset();
+    PlanRunStats stats = run_cycles_(initial_x, incremental,
+                                     [&](const Vector& x0) {
+      for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        NodeWork& w = nodes_[i];
+        // Skipped nodes cost no virtual time and force no clock sync: the
+        // simulated timeline reflects only the dirty path's work.
+        if (cycle_incremental_ && !exec_[i]) continue;
+        // The node's team forms once all children are done: the virtual
+        // clocks of its processors join at the max (children ran on
+        // disjoint sub-ranges).
+        machine.sync_range(w.node->proc_first, w.node->proc_count);
+        simarch::SimContext ctx(machine, w.node->proc_first,
+                                w.node->proc_count);
+        // The simulated clock is virtual but the deadline clock is real:
+        // polls read the host's steady clock, so a wall-clock budget bounds
+        // a simulated solve exactly like a real one.
+        ctx.bind_cancel_token(cancel_);
+        update_node_(ctx, w, x0);
+      }
+    });
+    stats.vtime = machine.elapsed();
+    stats.breakdown = machine.reported_profile();
+    return stats;
+  }
+
+  if (executor.pool != nullptr) {
+    par::ThreadPool& pool = *executor.pool;
+    for (NodeWork& w : nodes_) w.profile.clear();
+    PlanRunStats stats = run_cycles_(initial_x, incremental,
+                                     [&](const Vector& x0) {
+      par::TaskGroup group(1);
+      group.bind_cancel_token(cancel_);
+      try {
+        pool.submit(hierarchy_->root().proc_first, [&] {
+          group.run([&] { run_threaded_node_(pool, nodes_.size() - 1, x0); });
+        });
+      } catch (...) {
+        group.fail(std::current_exception());
+      }
+      group.join();  // waits, then rethrows a subtree failure on this thread
+    });
+    for (const NodeWork& w : nodes_) stats.breakdown += w.profile;
+    return stats;
+  }
+
+  par::ExecContext& ctx = *executor.context;
+  const perf::Profile before = ctx.profile();
+  PlanRunStats stats;
+  {
+    const ScopedCancelBind bind(ctx, cancel_);
+    stats = run_cycles_(initial_x, incremental, [&](const Vector& x0) {
+      // nodes_ is post-order, so children are always updated before their
+      // parent reads them: the recursion flattens to one loop.
+      for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        if (cycle_incremental_ && !exec_[i]) continue;
+        update_node_(ctx, nodes_[i], x0);
+      }
+    });
+  }
+  stats.breakdown = ctx.profile().minus(before);
   return stats;
-}
-
-PlanRunStats SolvePlan::run_threaded(par::ThreadPool& pool,
-                                     const Vector& initial_x) {
-  return run_threaded_impl_(pool, initial_x, /*want_incremental=*/false);
-}
-
-PlanRunStats SolvePlan::run_threaded_incremental(par::ThreadPool& pool,
-                                                 const Vector& initial_x) {
-  return run_threaded_impl_(pool, initial_x, /*want_incremental=*/true);
 }
 
 }  // namespace phmse::core

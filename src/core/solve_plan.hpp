@@ -4,10 +4,11 @@
 // observation *values* — the tree shape, which constraints land on which
 // node, batch boundaries, the §4.3 processor schedule, and the scratch
 // buffers every node needs — is captured once in a SolvePlan.  Executing
-// the plan (serial, threaded, or simulated) then walks a flattened
-// post-order node list through one shared update path, so repeated solves
-// against fresh observations or noise realizations touch no setup code and,
-// in the serial steady state, perform no heap allocation at all.
+// the plan (run() on a serial, threaded, or simulated Executor) then walks
+// a flattened post-order node list through one shared update path, so
+// repeated solves against fresh observations or noise realizations touch
+// no setup code and, in the serial steady state, perform no heap
+// allocation at all.
 //
 // The estimate is propagated leaf-to-root in post-order.  A leaf starts
 // from the initial state vector slice and the spherical prior; an interior
@@ -19,8 +20,8 @@
 // produce bitwise-identical numerics.
 // Incremental re-solve (DESIGN.md §11): the persistent per-node states
 // double as checkpoints.  Engine::set_observations marks the nodes whose
-// observed values actually changed; run_incremental() then re-executes only
-// those nodes, any leaf whose initial-state slice changed bitwise, and
+// observed values actually changed; an incremental run() then re-executes
+// only those nodes, any leaf whose initial-state slice changed bitwise, and
 // their ancestor paths, while every clean subtree's posterior is reused
 // in place.  The result is bitwise identical to a from-scratch run on all
 // three executors (tests/incremental_property_test.cpp pins this).
@@ -43,14 +44,24 @@
 
 namespace phmse::core {
 
-/// Options for the hierarchical solve; see est::SolveOptions for the
-/// per-node update parameters.
+/// Options for the hierarchical solve, baked into a compiled plan.
 struct HierSolveOptions {
+  /// Constraint batch dimension m (the paper's Table 2 studies this; 16 is
+  /// the measured optimum).
   Index batch_size = 16;
+  /// Number of cycles over the full constraint set.  The paper's timing
+  /// experiments measure exactly one cycle; convergence runs use more.
   int max_cycles = 1;
+  /// If positive, stop early once the RMS root-state change of a full
+  /// cycle drops below this threshold.
   double tolerance = 0.0;
-  /// See est::SolveOptions::prior_sigma.
+  /// Spherical prior standard deviation every leaf (re-)initializes C
+  /// with.  Beyond expressing prior uncertainty this acts as a step damper
+  /// for the relinearized cycles (large priors let early batches overshoot
+  /// their linearization region); ~1 Angstrom works well for molecular
+  /// data.
   double prior_sigma = 1.0;
+  /// Symmetrize C every this many batches (0 = never).
   Index symmetrize_every = 64;
   /// Degradation policy for numerically failing batches (DESIGN.md §9).
   /// The default (abort) throws on the first failure, exactly as solves
@@ -64,23 +75,20 @@ struct HierSolveOptions {
   std::string backend;
 };
 
-/// Result: the root posterior plus cycle statistics.
-struct HierSolveResult {
-  est::NodeState state;
-  int cycles = 0;
-  double last_cycle_delta = 0.0;
-  bool converged = false;
-  /// Per-batch fault-tolerance diagnostics of the solve (all nodes).
-  SolveReport report;
-};
+/// Where a plan executes (paper §4): a caller context (serial, or any
+/// ExecContext), real threads on a ThreadPool following the §4.3 static
+/// schedule, or the virtual processors of a simulated DASH/Challenge
+/// machine.  A non-owning view that converts implicitly from each, so
+/// `plan.run(pool, x0)` and `plan.run(ctx, x0)` read the same.  Exactly one
+/// pointer is set.
+struct Executor {
+  Executor(par::ExecContext& c) : context(&c) {}
+  Executor(par::ThreadPool& p) : pool(&p) {}
+  Executor(simarch::SimMachine& m) : machine(&m) {}
 
-/// Result of a simulated run.
-struct SimSolveResult {
-  HierSolveResult result;
-  /// Simulated work time (max virtual clock), seconds.
-  double vtime = 0.0;
-  /// Per-category time: max over processors (paper Tables 3-6 convention).
-  perf::Profile breakdown;
+  par::ExecContext* context = nullptr;
+  par::ThreadPool* pool = nullptr;
+  simarch::SimMachine* machine = nullptr;
 };
 
 /// One changed observation for try_run_lowrank: the constraint's owning
@@ -94,14 +102,14 @@ struct LowRankChange {
   double new_observed = 0.0;
 };
 
-/// Cycle statistics of one plan execution (the root posterior stays inside
-/// the plan; read it with root_state()).
+/// Cycle statistics and timing of one plan execution (the root posterior
+/// stays inside the plan; read it with root_state()).
 struct PlanRunStats {
   int cycles = 0;
   double last_cycle_delta = 0.0;
   bool converged = false;
   /// True when the run executed the incremental dirty schedule (a valid
-  /// checkpoint existed and the run was requested via run*_incremental).
+  /// checkpoint existed and the run was requested incremental).
   bool incremental = false;
   /// True when the run was a low-rank perturbative update of the root
   /// posterior (try_run_lowrank) instead of any tree traversal.
@@ -111,6 +119,14 @@ struct PlanRunStats {
   long nodes_recomputed = 0;
   /// Cycle-1 nodes served from their checkpoint instead of re-executing.
   long nodes_reused = 0;
+  /// Per-category time of this run in the executor's own accounting: what
+  /// the run added to a caller context's profile, the sum over all node
+  /// teams on a pool, or the simulated machine's reported profile (max
+  /// over processors, paper Tables 3-6 convention) in virtual seconds.
+  perf::Profile breakdown;
+  /// Simulated work time (max virtual clock) in seconds; 0 unless the run
+  /// executed on a simulated machine.
+  double vtime = 0.0;
 };
 
 /// A compiled, repeatedly-executable hierarchical solve.
@@ -118,9 +134,9 @@ struct PlanRunStats {
 /// The plan borrows `hierarchy` (tree shape, per-node constraint lists and
 /// processor schedule) and owns every per-node workspace: the node's
 /// persistent (x, C) estimate and a BatchUpdater whose scratch buffers are
-/// pre-sized for the node's batch shape.  run()/run_sim()/run_threaded()
-/// share one node-update code path and may be called any number of times;
-/// after the first call every buffer is warm and a serial run() performs
+/// pre-sized for the node's batch shape.  run() shares one node-update code
+/// path across executors and may be called any number of times; after the
+/// first call every buffer is warm and a serial run() performs
 /// zero heap allocations (tests/alloc_test.cpp pins this).
 ///
 /// If the processor schedule on the hierarchy changes (assign_processors
@@ -135,42 +151,28 @@ class SolvePlan {
   SolvePlan(SolvePlan&&) = default;
   SolvePlan& operator=(SolvePlan&&) = default;
 
-  /// Post-order solve on an arbitrary context.  `initial_x` is the
-  /// full-molecule initial state (dimension 3 * root atoms).
-  PlanRunStats run(par::ExecContext& ctx, const linalg::Vector& initial_x);
-
-  /// Simulated parallel solve following the static schedule on `machine`
-  /// (which is reset first); read machine.elapsed() and
-  /// machine.reported_profile() afterwards for the virtual timing.
-  PlanRunStats run_sim(simarch::SimMachine& machine,
-                       const linalg::Vector& initial_x);
-
-  /// Real-thread parallel solve following the static schedule on `pool`.
+  /// Executes the plan on `executor`: post-order over the tree, every node
+  /// through the one shared update path.  `initial_x` is the full-molecule
+  /// initial state (dimension 3 * root atoms).  A simulated machine is
+  /// reset first; its virtual timing lands in PlanRunStats::vtime and
+  /// ::breakdown.
   ///
-  /// Exception safety: a failure anywhere in the tree (e.g. a bad
+  /// `incremental` (DESIGN.md §11): when the plan holds a valid checkpoint
+  /// — the previous run completed in a single cycle — only the dirty nodes
+  /// (observations changed via mark_constraint_dirty, or a leaf's
+  /// `initial_x` slice changed bitwise) and their ancestor paths are
+  /// re-executed; every other node's persisted posterior is reused in place
+  /// and its saved sweep tally is replayed into the report.  Without a
+  /// valid checkpoint the request silently degrades to a full run
+  /// (PlanRunStats::incremental stays false).  Either way the posterior and
+  /// the report are bitwise identical to a full run on any executor.
+  ///
+  /// Exception safety on a pool: a failure anywhere in the tree (e.g. a bad
   /// constraint batch throwing phmse::Error on a worker lane) propagates to
   /// the caller as that same exception — no deadlocked join, no
-  /// std::terminate — and `pool` remains usable for subsequent solves.
-  PlanRunStats run_threaded(par::ThreadPool& pool,
-                            const linalg::Vector& initial_x);
-
-  /// Incremental variants of run / run_sim / run_threaded (DESIGN.md §11).
-  ///
-  /// When the plan holds a valid checkpoint — the previous run completed in
-  /// a single cycle — only the dirty nodes (observations changed via
-  /// mark_constraint_dirty, or a leaf's `initial_x` slice changed bitwise)
-  /// and their ancestor paths are re-executed; every other node's persisted
-  /// posterior is reused in place and its saved sweep tally is replayed
-  /// into the report.  Without a valid checkpoint the call silently
-  /// degrades to a full run (PlanRunStats::incremental stays false).
-  /// Either way the posterior and the report are bitwise identical to the
-  /// corresponding full run.
-  PlanRunStats run_incremental(par::ExecContext& ctx,
-                               const linalg::Vector& initial_x);
-  PlanRunStats run_sim_incremental(simarch::SimMachine& machine,
-                                   const linalg::Vector& initial_x);
-  PlanRunStats run_threaded_incremental(par::ThreadPool& pool,
-                                        const linalg::Vector& initial_x);
+  /// std::terminate — and the pool remains usable for subsequent runs.
+  PlanRunStats run(Executor executor, const linalg::Vector& initial_x,
+                   bool incremental = false);
 
   /// Marks `node`'s compiled workspace observation-dirty: the next
   /// incremental run re-executes it and its ancestor path.  `node` must
@@ -205,14 +207,14 @@ class SolvePlan {
   /// O(k n) total, no factorization.  For nonlinear constraints the frozen
   /// linearization makes the result a first-order (EKF) approximation, NOT
   /// bitwise-exact — callers who need the bitwise guarantee use
-  /// run_incremental instead.
+  /// an incremental run() instead.
   ///
   /// Preconditions: a single-cycle checkpoint exists, `initial_x` is
   /// bitwise the checkpoint's initial state, every change resolves to a
   /// plan node with an archived applied row, the inputs are finite, and —
   /// under an outlier-gating policy — no change is large enough that the
   /// exact path might gate it.  On any precondition failure the function
-  /// returns false and the caller must fall back to run_incremental — the
+  /// returns false and the caller must fall back to an incremental run — the
   /// changed nodes (and the root) remain marked dirty, so the fallback
   /// rebuilds every state the attempt may have touched.
   bool try_run_lowrank(par::ExecContext& ctx, const linalg::Vector& initial_x,
@@ -254,13 +256,6 @@ class SolvePlan {
 
   /// The root posterior of the most recent run.
   const est::NodeState& root_state() const { return nodes_.back().state; }
-
-  /// Moves the root posterior out (for callers that outlive the plan).
-  est::NodeState take_root_state() { return std::move(nodes_.back().state); }
-
-  /// Per-category time of the most recent run_threaded(), summed over all
-  /// node teams.
-  const perf::Profile& threaded_profile() const { return threaded_profile_; }
 
   /// Fault-tolerance diagnostics of the most recent run (any executor):
   /// every node's batch tally aggregated after the executor has joined.
@@ -309,14 +304,6 @@ class SolvePlan {
   void run_threaded_node_(par::ThreadPool& pool, std::size_t index,
                           const linalg::Vector& x0);
   void prepare_schedule_(const linalg::Vector& initial_x, bool incremental);
-  PlanRunStats run_impl_(par::ExecContext& ctx, const linalg::Vector& initial_x,
-                         bool want_incremental);
-  PlanRunStats run_sim_impl_(simarch::SimMachine& machine,
-                             const linalg::Vector& initial_x,
-                             bool want_incremental);
-  PlanRunStats run_threaded_impl_(par::ThreadPool& pool,
-                                  const linalg::Vector& initial_x,
-                                  bool want_incremental);
   template <typename PassFn>
   PlanRunStats run_cycles_(const linalg::Vector& initial_x,
                            bool want_incremental, PassFn&& pass);
@@ -357,7 +344,6 @@ class SolvePlan {
   linalg::Vector last_initial_;
   linalg::Vector prev_x_;        // previous cycle's root state
   linalg::Vector lowrank_dx_;    // try_run_lowrank mean-shift scratch
-  perf::Profile threaded_profile_;
   SolveReport report_;           // aggregated after every run
 };
 

@@ -149,7 +149,7 @@ Plan Engine::compile(const Problem& problem, const CompileOptions& options) {
   plan.timings_.assign_seconds = phase.seconds();
   // The pending-change ledger and its rank-k work-list are capped at
   // kMaxPendingChanges entries; reserving them here keeps set_observations
-  // and solve_lowrank off the heap in the steady state.
+  // and low-rank solves off the heap in the steady state.
   plan.pending_.reserve(Plan::kMaxPendingChanges);
   plan.changes_scratch_.reserve(Plan::kMaxPendingChanges);
 
@@ -183,6 +183,8 @@ Result Plan::finish_result_(const core::PlanRunStats& stats, double seconds) {
   r.last_cycle_delta = stats.last_cycle_delta;
   r.converged = stats.converged;
   r.seconds = seconds;
+  r.vtime = stats.vtime;
+  r.breakdown = stats.breakdown;
   // Copying the report is cheap on a clean solve: the counters are plain
   // scalars and the incident vector is empty (a size-0 copy does not
   // allocate), so the steady-state path stays allocation-free.
@@ -210,86 +212,15 @@ Plan::SolveFlight::~SolveFlight() {
   busy_.store(false, std::memory_order_release);
 }
 
-Result Plan::solve(const linalg::Vector& initial_x) {
-  return solve(serial_, initial_x);
-}
-
-Result Plan::solve(par::ExecContext& ctx, const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  const perf::Profile before = ctx.profile();
-  Stopwatch sw;
-  const core::PlanRunStats stats = plan_->run(ctx, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.breakdown = ctx.profile().minus(before);
-  clear_pending_();
-  return r;
-}
-
-Result Plan::solve(par::ThreadPool& pool, const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  Stopwatch sw;
-  const core::PlanRunStats stats = plan_->run_threaded(pool, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.breakdown = plan_->threaded_profile();
-  clear_pending_();
-  return r;
-}
-
-Result Plan::solve(simarch::SimMachine& machine,
-                   const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  Stopwatch sw;
-  const core::PlanRunStats stats = plan_->run_sim(machine, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.vtime = machine.elapsed();
-  r.breakdown = machine.reported_profile();
-  clear_pending_();
-  return r;
+Result Plan::solve(const linalg::Vector& initial_x, const RunOptions& run) {
+  return solve(serial_, initial_x, run);
 }
 
 Result Plan::solve_incremental(const linalg::Vector& initial_x) {
-  return solve_incremental(serial_, initial_x);
-}
-
-Result Plan::solve_incremental(par::ExecContext& ctx,
-                               const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  const perf::Profile before = ctx.profile();
-  Stopwatch sw;
-  const core::PlanRunStats stats = plan_->run_incremental(ctx, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.breakdown = ctx.profile().minus(before);
-  clear_pending_();
-  return r;
-}
-
-Result Plan::solve_incremental(par::ThreadPool& pool,
-                               const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  Stopwatch sw;
-  const core::PlanRunStats stats =
-      plan_->run_threaded_incremental(pool, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.breakdown = plan_->threaded_profile();
-  clear_pending_();
-  return r;
-}
-
-Result Plan::solve_incremental(simarch::SimMachine& machine,
-                               const linalg::Vector& initial_x) {
-  const SolveFlight flight(*in_solve_);
-  Stopwatch sw;
-  const core::PlanRunStats stats =
-      plan_->run_sim_incremental(machine, initial_x);
-  Result r = finish_result_(stats, sw.seconds());
-  r.vtime = machine.elapsed();
-  r.breakdown = machine.reported_profile();
-  clear_pending_();
-  return r;
+  return solve(serial_, initial_x, {.mode = RunMode::kIncremental});
 }
 
 bool Plan::try_lowrank_result_(const linalg::Vector& initial_x, Result* out) {
-  const SolveFlight flight(*in_solve_);
   if (pending_.empty() || pending_overflow_) return false;
   // Materialize the rank-k work-list: each changed slot's owning node
   // and in-node index (resolving its archived Jacobian row), the value
@@ -301,48 +232,36 @@ bool Plan::try_lowrank_result_(const linalg::Vector& initial_x, Result* out) {
     changes_scratch_.push_back({slot.node, slot.index, p.old_observed,
                                 slot.node->constraints[slot.index].observed});
   }
-  const perf::Profile before = serial_.profile();
   Stopwatch sw;
   core::PlanRunStats stats;
   if (!plan_->try_run_lowrank(serial_, initial_x, changes_scratch_, &stats)) {
     return false;
   }
   *out = finish_result_(stats, sw.seconds());
-  out->breakdown = serial_.profile().minus(before);
-  pending_.clear();
-  pending_overflow_ = false;
+  clear_pending_();
   return true;
 }
 
-Result Plan::solve_lowrank(const linalg::Vector& initial_x) {
-  Result r;
-  if (try_lowrank_result_(initial_x, &r)) return r;
-  // Exact fallback: the changed slots already marked their nodes dirty, so
-  // the incremental path (itself falling back to a full run when no
-  // checkpoint is valid) gives the bitwise-reproducible answer.
-  return solve_incremental(serial_, initial_x);
-}
-
-const par::CancelToken* Plan::arm_controls_(const SolveOptions& controls) {
-  if (controls.deadline_seconds > 0.0) {
+const par::CancelToken* Plan::arm_controls_(const RunOptions& run) {
+  PHMSE_CHECK(!std::isnan(run.deadline_seconds),
+              "RunOptions.deadline_seconds must not be NaN");
+  if (run.deadline_seconds > 0.0) {
     // The plan's scratch token carries the deadline clock; linking keeps the
     // caller's token (if any) authoritative for explicit cancellation
     // without ever mutating it.
     run_token_->reset();
-    run_token_->link(controls.cancel);
-    run_token_->set_deadline_after(controls.deadline_seconds);
+    run_token_->link(run.cancel);
+    run_token_->set_deadline_after(run.deadline_seconds);
     return run_token_.get();
   }
-  return controls.cancel;
+  return run.cancel;
 }
 
-template <typename SolveFn>
-Result Plan::solve_controlled_(const SolveOptions& controls,
-                               const linalg::Vector& initial_x,
-                               SolveFn&& do_solve) {
-  const par::CancelToken* token = arm_controls_(controls);
-  if (token == nullptr) return do_solve();  // uncontrolled: zero overhead
-  if (token->stop_requested()) {
+Result Plan::solve(Executor executor, const linalg::Vector& initial_x,
+                   const RunOptions& run) {
+  const SolveFlight flight(*in_solve_);
+  const par::CancelToken* token = arm_controls_(run);
+  if (token != nullptr && token->stop_requested()) {
     // Shed before touching the plan: a budget spent (or a cancel raised)
     // before the solve starts must not burn a single batch.
     if (token->expired()) {
@@ -351,22 +270,27 @@ Result Plan::solve_controlled_(const SolveOptions& controls,
     throw par::CancelledError("solve: cancelled before the solve started",
                               /*deadline=*/false);
   }
-  if (controls.degrade_lowrank && exact_seconds_ewma_ > 0.0) {
-    // Degradation is decided UP FRONT: once an exact attempt is cancelled
-    // its checkpoint is gone and the low-rank preconditions can no longer
-    // hold, so a reactive fallback would be too late.  1.5x is a safety
-    // factor over the EWMA of past exact runs.
-    constexpr double kDegradeSafety = 1.5;
-    if (token->remaining_seconds() < kDegradeSafety * exact_seconds_ewma_) {
-      Result degraded;
-      if (try_lowrank_result_(initial_x, &degraded)) return degraded;
-    }
+  // Degradation is decided UP FRONT: once an exact attempt is cancelled its
+  // checkpoint is gone and the low-rank preconditions can no longer hold,
+  // so a reactive fallback would be too late.  1.5x is a safety factor
+  // over the EWMA of past exact runs.
+  constexpr double kDegradeSafety = 1.5;
+  const bool degrade = run.degrade_lowrank && token != nullptr &&
+                       exact_seconds_ewma_ > 0.0 &&
+                       token->remaining_seconds() <
+                           kDegradeSafety * exact_seconds_ewma_;
+  if (run.mode == RunMode::kLowRank || degrade) {
+    Result r;
+    if (try_lowrank_result_(initial_x, &r)) return r;
+    // Exact fallback: the changed slots already marked their nodes dirty,
+    // so the incremental path (itself falling back to a full run when no
+    // checkpoint is valid) gives the bitwise-reproducible answer.
   }
+  Stopwatch sw;
+  core::PlanRunStats stats;
   plan_->bind_cancel(token);
   try {
-    Result r = do_solve();
-    plan_->bind_cancel(nullptr);
-    return r;
+    stats = plan_->run(executor, initial_x, run.mode != RunMode::kFull);
   } catch (const par::CancelledError& e) {
     plan_->bind_cancel(nullptr);
     if (e.deadline_expired) {
@@ -377,59 +301,10 @@ Result Plan::solve_controlled_(const SolveOptions& controls,
     plan_->bind_cancel(nullptr);
     throw;
   }
-}
-
-Result Plan::solve(const linalg::Vector& initial_x,
-                   const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve(initial_x); });
-}
-
-Result Plan::solve(par::ExecContext& ctx, const linalg::Vector& initial_x,
-                   const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve(ctx, initial_x); });
-}
-
-Result Plan::solve(par::ThreadPool& pool, const linalg::Vector& initial_x,
-                   const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve(pool, initial_x); });
-}
-
-Result Plan::solve(simarch::SimMachine& machine,
-                   const linalg::Vector& initial_x,
-                   const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve(machine, initial_x); });
-}
-
-Result Plan::solve_incremental(const linalg::Vector& initial_x,
-                               const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve_incremental(initial_x); });
-}
-
-Result Plan::solve_incremental(par::ExecContext& ctx,
-                               const linalg::Vector& initial_x,
-                               const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve_incremental(ctx, initial_x); });
-}
-
-Result Plan::solve_incremental(par::ThreadPool& pool,
-                               const linalg::Vector& initial_x,
-                               const SolveOptions& controls) {
-  return solve_controlled_(controls, initial_x,
-                           [&] { return solve_incremental(pool, initial_x); });
-}
-
-Result Plan::solve_incremental(simarch::SimMachine& machine,
-                               const linalg::Vector& initial_x,
-                               const SolveOptions& controls) {
-  return solve_controlled_(
-      controls, initial_x,
-      [&] { return solve_incremental(machine, initial_x); });
+  plan_->bind_cancel(nullptr);
+  Result r = finish_result_(stats, sw.seconds());
+  clear_pending_();
+  return r;
 }
 
 void Plan::clear_pending_() {
@@ -479,7 +354,7 @@ void Plan::set_observations(std::span<const double> values) {
   // Every slot validated; now diff-and-write.  Only slots whose bit pattern
   // actually changes are written and mark their node dirty (bitwise compare
   // so +/-0 and NaN rebinds are handled exactly): rebinding an identical
-  // vector leaves the dirty set empty and the next solve_incremental
+  // vector leaves the dirty set empty and the next incremental solve
   // re-executes nothing.
   for (std::size_t i = 0; i < values.size(); ++i) {
     const core::AssignedSlot& slot = slots_[i];
@@ -488,7 +363,7 @@ void Plan::set_observations(std::span<const double> values) {
         std::bit_cast<std::uint64_t>(values[i])) {
       continue;
     }
-    // Record the outgoing value for solve_lowrank's retraction.  First
+    // Record the outgoing value for the low-rank retraction.  First
     // change per slot wins: across chained rebinds the retraction must
     // remove the value the last completed solve actually applied, not an
     // intermediate one that never reached the posterior.

@@ -10,9 +10,10 @@
 //              work model, schedule, and a core::SolvePlan with pre-sized
 //              per-node workspaces;
 //   solve()  — executes the plan against fresh observation values on any
-//              executor (owned serial context, caller's ExecContext, a
-//              ThreadPool, or a simulated machine), returning the posterior
-//              with per-phase timing and per-category perf counters.
+//              Executor (owned serial context, caller's ExecContext, a
+//              ThreadPool, or a simulated machine) in any RunMode (full,
+//              incremental, low-rank), returning the posterior with
+//              per-phase timing and per-category perf counters.
 //
 // A plan is reused across solves, processor counts (reschedule) and
 // observation vectors (set_observations); after the first solve the serial
@@ -47,13 +48,56 @@ class DeadlineError : public Error {
   using Error::Error;
 };
 
-/// Per-solve time/cancellation controls (DESIGN.md §13), accepted by the
-/// solve/solve_incremental overloads below.  Orthogonal to the compile-time
+/// Where a solve runs: the caller's ExecContext, a ThreadPool, or a
+/// simulated machine (converts implicitly from each; see core::Executor).
+using Executor = core::Executor;
+
+/// Which answer a solve computes (DESIGN.md §11).
+enum class RunMode : int {
+  /// Execute every node.
+  kFull = 0,
+  /// Re-execute only the nodes whose observations changed since the last
+  /// completed run (tracked by set_observations), leaves whose `initial_x`
+  /// slice changed bitwise, and their ancestor paths; every other subtree's
+  /// checkpointed posterior is reused in place.  Falls back to a full run —
+  /// same answer, Result::report.incremental stays false — when no
+  /// checkpoint is valid (first solve on a fresh plan, a previous run that
+  /// aborted, or one that took more than one cycle).  On every executor the
+  /// posterior and report are bitwise identical to a full run.
+  kIncremental,
+  /// Low-rank perturbative re-solve: when only k observation values
+  /// changed since the last completed single-cycle run, fold them into the
+  /// checkpointed root posterior as one rank-k Kalman shift —
+  /// retract-plus-reapply with a shared Jacobian cancels in information
+  /// space, so the mean moves by C·Hᵀ·R⁻¹·(z_new − z_old) and the
+  /// covariance stays put, in O(k·n) instead of re-running every root-path
+  /// constraint at O(n²) each.  H is each constraint's ARCHIVED Jacobian
+  /// row from the checkpoint-forming sweep — the sensitivity identity
+  /// telescopes exactly through the hierarchy only for that row.  The
+  /// result is a first-order (extended-Kalman) approximation whose error is
+  /// linear in the observation change, NOT bitwise identical to a
+  /// from-scratch solve; Result::report.low_rank marks it.  The shift is
+  /// one node's work and always runs on the plan's serial context.  Falls
+  /// back to kIncremental on the given executor whenever the fast path
+  /// cannot give a principled answer: no pending changes, more than 64
+  /// changed slots, a changed initial_x, a multi-cycle plan, non-finite
+  /// inputs, or a change so large an outlier-gating policy might drop it
+  /// on the exact path.  A later exact solve of any kind restores the
+  /// bitwise-reproducible baseline: the changed nodes and the root stay
+  /// dirty until one runs.
+  kLowRank,
+};
+
+/// Per-solve controls (DESIGN.md §13).  Orthogonal to the compile-time
 /// HierSolveOptions: these arm one run, not the plan.
-struct SolveOptions {
+struct RunOptions {
+  /// What the solve computes; see RunMode.
+  RunMode mode = RunMode::kFull;
   /// Wall-clock budget for this solve, measured from the call; <= 0 means
-  /// unbounded.  On expiry the executors abort at the next batch/node
-  /// boundary and the call throws DeadlineError.
+  /// unbounded, and a budget past the clock's range (+inf, 1e10 s) never
+  /// fires.  NaN is rejected with phmse::Error.  On expiry the executors
+  /// abort at the next batch/node boundary and the call throws
+  /// DeadlineError.
   double deadline_seconds = 0.0;
   /// External cancellation (e.g. a service watchdog); may be null, must
   /// outlive the call.  An explicit cancel() surfaces as
@@ -62,11 +106,9 @@ struct SolveOptions {
   const par::CancelToken* cancel = nullptr;
   /// Opt-in graceful degradation: when the armed deadline is too tight for
   /// the exact path (judged against an EWMA of this plan's past exact solve
-  /// times), answer with the low-rank perturbative root update instead —
-  /// first-order, Result::report.low_rank marks it — provided its
-  /// preconditions hold (valid checkpoint, <= 64 pending changes, same
-  /// initial_x; see solve_lowrank).  When they do not, the exact path runs
-  /// anyway and takes its chances with the deadline.
+  /// times), answer with the kLowRank root update instead, provided its
+  /// preconditions hold.  When they do not, the exact path runs anyway and
+  /// takes its chances with the deadline.
   bool degrade_lowrank = false;
 };
 
@@ -169,8 +211,8 @@ class Plan {
   Plan(const Plan&) = delete;
   Plan& operator=(const Plan&) = delete;
 
-  /// Serial solve on the plan's own context.  After the first call this is
-  /// the zero-allocation steady-state path.
+  /// Solves on the plan's own serial context.  After the first call this
+  /// is the zero-allocation steady-state path.
   ///
   /// `initial_x` is the solve's LINEARIZATION POINT, not just a warm start:
   /// every leaf fills its state from its slice of it and the constraint
@@ -180,88 +222,26 @@ class Plan {
   /// initial_x re-linearizes the whole problem at the current estimate —
   /// the re-linearization seam the refine::Refiner's iterated mode drives
   /// (DESIGN.md §14), symmetric with how set_observations rebinds values.
-  Result solve(const linalg::Vector& initial_x);
+  Result solve(const linalg::Vector& initial_x, const RunOptions& run = {});
 
-  /// Solve on a caller-provided context (serial, team, or simulated).
-  Result solve(par::ExecContext& ctx, const linalg::Vector& initial_x);
+  /// Solves on `executor`: a caller context (serial, team, or simulated),
+  /// real threads on a ThreadPool following the §4.3 schedule (see
+  /// core::SolvePlan::run for the exception-safety contract), or a
+  /// simulated machine (reset first; Result::vtime and the breakdown carry
+  /// the virtual timing).  Every executor produces bitwise the same
+  /// posterior.
+  ///
+  /// `run` selects the RunMode and arms the deadline/cancellation controls:
+  /// the run observes them at every batch and node boundary; on deadline
+  /// expiry the solve throws DeadlineError (explicit external cancellation
+  /// surfaces as par::CancelledError), and the plan's checkpoint machinery
+  /// guarantees the abort is transactional.  With default RunOptions this
+  /// is an uncontrolled full solve.
+  Result solve(Executor executor, const linalg::Vector& initial_x,
+               const RunOptions& run = {});
 
-  /// Threaded solve following the §4.3 schedule on `pool` (see
-  /// core::SolvePlan::run_threaded for the exception-safety contract).
-  Result solve(par::ThreadPool& pool, const linalg::Vector& initial_x);
-
-  /// Simulated solve on `machine` (reset first); Result::vtime and the
-  /// breakdown carry the virtual timing.
-  Result solve(simarch::SimMachine& machine, const linalg::Vector& initial_x);
-
-  /// Incremental re-solve (DESIGN.md §11): re-executes only the nodes whose
-  /// observations changed since the last completed run (tracked by
-  /// set_observations), leaves whose `initial_x` slice changed bitwise, and
-  /// their ancestor paths; every other subtree's checkpointed posterior is
-  /// reused in place.  Falls back to a full solve — same answer,
-  /// Result::report.incremental stays false — when no checkpoint is valid
-  /// (first solve on a fresh plan, a previous run that aborted, or a
-  /// previous run that took more than one cycle).  On every executor the
-  /// posterior and report are bitwise identical to the matching solve().
+  /// solve(initial_x, {.mode = RunMode::kIncremental}).
   Result solve_incremental(const linalg::Vector& initial_x);
-  Result solve_incremental(par::ExecContext& ctx,
-                           const linalg::Vector& initial_x);
-  Result solve_incremental(par::ThreadPool& pool,
-                           const linalg::Vector& initial_x);
-  Result solve_incremental(simarch::SimMachine& machine,
-                           const linalg::Vector& initial_x);
-
-  /// Deadline/cancellation-controlled variants (DESIGN.md §13).  The run
-  /// observes `controls` at every batch and node boundary on whichever
-  /// executor is used; on deadline expiry the solve throws DeadlineError
-  /// (explicit external cancellation surfaces as par::CancelledError), the
-  /// plan's checkpoint machinery guarantees the abort is transactional, and
-  /// — with controls.degrade_lowrank — a deadline too tight for the exact
-  /// path is answered by the low-rank root update when its preconditions
-  /// hold.  With default-constructed controls these are exactly the
-  /// uncontrolled overloads above.
-  Result solve(const linalg::Vector& initial_x, const SolveOptions& controls);
-  Result solve(par::ExecContext& ctx, const linalg::Vector& initial_x,
-               const SolveOptions& controls);
-  Result solve(par::ThreadPool& pool, const linalg::Vector& initial_x,
-               const SolveOptions& controls);
-  Result solve(simarch::SimMachine& machine, const linalg::Vector& initial_x,
-               const SolveOptions& controls);
-  Result solve_incremental(const linalg::Vector& initial_x,
-                           const SolveOptions& controls);
-  Result solve_incremental(par::ExecContext& ctx,
-                           const linalg::Vector& initial_x,
-                           const SolveOptions& controls);
-  Result solve_incremental(par::ThreadPool& pool,
-                           const linalg::Vector& initial_x,
-                           const SolveOptions& controls);
-  Result solve_incremental(simarch::SimMachine& machine,
-                           const linalg::Vector& initial_x,
-                           const SolveOptions& controls);
-
-  /// Low-rank perturbative re-solve (DESIGN.md §11): when only k observation
-  /// values changed since the last completed single-cycle run, fold them
-  /// into the checkpointed root posterior as one rank-k Kalman shift —
-  /// retract-plus-reapply with a shared Jacobian cancels in information
-  /// space, so the mean moves by C·Hᵀ·R⁻¹·(z_new − z_old) and the
-  /// covariance stays put, in O(k·n) instead of re-running every root-path
-  /// constraint at O(n²) each.  H here is each constraint's ARCHIVED
-  /// Jacobian row from its original linearization during the
-  /// checkpoint-forming sweep — the sensitivity identity telescopes
-  /// exactly through the hierarchy only for that row, not for a fresh
-  /// relinearization.  The result is a first-order (extended-Kalman)
-  /// approximation whose error is linear in the observation change, NOT
-  /// bitwise identical to a from-scratch solve; Result::report.low_rank
-  /// marks it.  Falls back to
-  /// solve_incremental — exact, and itself falling back to a full solve
-  /// when no checkpoint exists — whenever the fast path cannot give a
-  /// principled answer: no pending changes, more than 64 changed slots,
-  /// a changed initial_x, a multi-cycle plan, non-finite inputs, or a
-  /// change so large an outlier-gating policy might drop it on the exact
-  /// path.  Serial only (the root shift is one node's work; there is
-  /// nothing to parallelize).  A later exact solve of any kind restores
-  /// the bitwise-reproducible baseline: the changed nodes and the root
-  /// stay dirty until one runs.
-  Result solve_lowrank(const linalg::Vector& initial_x);
 
   /// True when the plan's per-node states form a reusable checkpoint (the
   /// last run completed in a single cycle).
@@ -277,9 +257,9 @@ class Plan {
   std::size_t pending_dirty_nodes() const { return plan_->num_dirty_nodes(); }
 
   /// Observation slots whose value changed since the last completed solve
-  /// (the retraction work-list of solve_lowrank).  Saturates: past 64
-  /// distinct slots the count stops growing and solve_lowrank falls back
-  /// to the exact path.
+  /// (the retraction work-list of RunMode::kLowRank).  Saturates: past 64
+  /// distinct slots the count stops growing and a low-rank solve falls
+  /// back to the exact path.
   std::size_t pending_observation_changes() const { return pending_.size(); }
 
   /// Recomputes the §4.3 schedule for a new processor count; the same plan
@@ -297,8 +277,8 @@ class Plan {
   ///
   /// Dirty tracking: only slots whose value actually changes (bitwise;
   /// a NaN is conservatively treated as a change) mark their node dirty
-  /// for solve_incremental.  Rebinding an identical vector is a no-op and
-  /// leaves the dirty set empty.
+  /// for an incremental solve.  Rebinding an identical vector is a no-op
+  /// and leaves the dirty set empty.
   void set_observations(std::span<const double> values);
 
   /// Number of values set_observations expects: one per constraint of the
@@ -310,8 +290,8 @@ class Plan {
   /// §14): variances scale by temperature^2, flattening the posterior so
   /// early annealed iterations move freely, and 1.0 restores the exact
   /// noise model bitwise.  A (bitwise) change invalidates the §11
-  /// checkpoint and disables solve_lowrank until an exact solve at the new
-  /// temperature completes; the constraints' stored variances are never
+  /// checkpoint and disables the low-rank path until an exact solve at the
+  /// new temperature completes; the constraints' stored variances are never
   /// modified.  Symmetric with set_observations: observations rebind the
   /// measured values, this rebinds how much they are trusted.  Must be
   /// finite and > 0 (normally >= 1).
@@ -348,8 +328,8 @@ class Plan {
   };
 
   /// One observation slot whose value changed since the last completed
-  /// solve, with the value the last solve actually applied (what
-  /// solve_lowrank must retract).  First change per slot wins: chained
+  /// solve, with the value the last solve actually applied (what a
+  /// low-rank solve must retract).  First change per slot wins: chained
   /// rebinds between solves must retract the committed value, not an
   /// intermediate one that never reached the posterior.
   struct PendingChange {
@@ -357,7 +337,8 @@ class Plan {
     double old_observed = 0.0;
   };
   /// Above this many distinct changed slots a rank-k update stops being
-  /// cheaper than the exact dirty-path re-solve; solve_lowrank falls back.
+  /// cheaper than the exact dirty-path re-solve; a low-rank solve falls
+  /// back.
   static constexpr std::size_t kMaxPendingChanges = 64;
 
   void clear_pending_();
@@ -365,21 +346,13 @@ class Plan {
   /// Builds a Result from a finished core run and feeds the exact-path
   /// duration EWMA the degradation rung consults (low-rank runs excluded).
   Result finish_result_(const core::PlanRunStats& stats, double seconds);
-  /// Arms run_token_ from `controls` and returns the token the run should
+  /// Arms run_token_ from `run` and returns the token the solve should
   /// observe (null = uncontrolled).  The caller's token is never mutated.
-  const par::CancelToken* arm_controls_(const SolveOptions& controls);
-  /// The low-rank fast path under its own single-flight guard:
-  /// materializes the pending work-list and attempts try_run_lowrank;
-  /// false = preconditions refused, the caller falls back.
+  const par::CancelToken* arm_controls_(const RunOptions& run);
+  /// The low-rank fast path: materializes the pending work-list and
+  /// attempts try_run_lowrank on the serial context; false = preconditions
+  /// refused, the caller falls back.
   bool try_lowrank_result_(const linalg::Vector& initial_x, Result* out);
-  /// Shared spine of every controlled overload: arm the token, shed an
-  /// already-spent budget, maybe degrade, run `do_solve` with the token
-  /// bound to the core plan, translate deadline-caused CancelledError into
-  /// DeadlineError.
-  template <typename SolveFn>
-  Result solve_controlled_(const SolveOptions& controls,
-                           const linalg::Vector& initial_x,
-                           SolveFn&& do_solve);
 
   std::unique_ptr<core::Hierarchy> hierarchy_;
   std::vector<core::AssignedSlot> slots_;
@@ -401,7 +374,7 @@ class Plan {
       std::make_unique<std::atomic<bool>>(false);
   /// Scratch token for deadline-armed solves (boxed: tokens hold atomics
   /// and must not move while bound).  Reset per controlled solve; links to
-  /// the caller's SolveOptions::cancel so either source stops the run.
+  /// the caller's RunOptions::cancel so either source stops the run.
   std::unique_ptr<par::CancelToken> run_token_ =
       std::make_unique<par::CancelToken>();
   /// EWMA of this plan's completed exact (non-low-rank) solve durations —

@@ -15,8 +15,8 @@
 //
 // Selection: default_backend() picks the best available implementation,
 // overridable per process with PHMSE_BACKEND=ref|blocked|simd and per solve
-// via the options structs (est::SolveOptions / core::HierSolveOptions).
-// Unknown names fail fast with the valid names and this CPU's features.
+// via core::HierSolveOptions::backend.  Unknown names fail fast with the
+// valid names and this CPU's features.
 //
 // Determinism contract (DESIGN.md §12): every backend is run-to-run
 // deterministic and bitwise serial-vs-threaded identical *within itself*;
@@ -76,7 +76,7 @@ const Backend* find_backend(std::string_view name);
 /// Looks up a backend by name, failing fast on an unknown name with a
 /// message listing the valid backends and which ones this CPU supports
 /// natively.  `who` names the configuration source for the error text
-/// (e.g. "PHMSE_BACKEND" or "SolveOptions.backend").
+/// (e.g. "PHMSE_BACKEND" or "HierSolveOptions.backend").
 const Backend& backend_or_throw(std::string_view name, std::string_view who);
 
 /// The process-default backend: PHMSE_BACKEND when set (fails fast on an

@@ -1,6 +1,6 @@
 // Dispatch layer: the public kernel entry points forward to the
 // process-default Backend (see backend.hpp).  Callers that need a specific
-// backend (e.g. a solve compiled with SolveOptions.backend) hold a
+// backend (e.g. a solve compiled with HierSolveOptions.backend) hold a
 // `const Backend*` and call through its table directly.
 //
 // The element-wise vector utilities at the bottom are backend-independent:

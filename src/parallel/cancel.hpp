@@ -67,11 +67,27 @@ class CancelToken {
                        std::memory_order_release);
   }
 
-  /// Arms the deadline clock `seconds` from now (<= 0 fires immediately).
+  /// Arms the deadline clock `seconds` from now (<= 0 or NaN fires
+  /// immediately).  A budget past the clock's range (+inf, 1e10 s)
+  /// saturates to "never fires" instead of overflowing into the past.
   void set_deadline_after(double seconds) noexcept {
-    set_deadline(std::chrono::steady_clock::now() +
-                 std::chrono::nanoseconds(
-                     static_cast<std::int64_t>(seconds * 1e9)));
+    const auto now = std::chrono::steady_clock::now();
+    if (!(seconds > 0.0)) {
+      set_deadline(now);
+      return;
+    }
+    const double now_ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            now.time_since_epoch())
+            .count());
+    // 2^62 ns (~146 years of uptime) leaves headroom below kNoDeadline that
+    // double rounding cannot cross.
+    if (now_ns + seconds * 1e9 >= 0x1p62) {
+      deadline_ns_.store(kNoDeadline, std::memory_order_release);
+      return;
+    }
+    set_deadline(now + std::chrono::nanoseconds(
+                           static_cast<std::int64_t>(seconds * 1e9)));
   }
 
   /// Chains an upstream token: this token also reports stop when

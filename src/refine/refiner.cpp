@@ -104,55 +104,32 @@ const par::CancelToken* Refiner::arm_token_() {
 }
 
 engine::Result Refiner::refine(const linalg::Vector& initial_x) {
-  return refine_impl_(
-      initial_x,
-      [this](const linalg::Vector& x, const engine::SolveOptions& controls) {
-        return plan_->solve(x, controls);
-      });
+  return refine_(nullptr, initial_x);
 }
 
-engine::Result Refiner::refine(par::ExecContext& ctx,
+engine::Result Refiner::refine(engine::Executor executor,
                                const linalg::Vector& initial_x) {
-  return refine_impl_(
-      initial_x,
-      [this, &ctx](const linalg::Vector& x,
-                   const engine::SolveOptions& controls) {
-        return plan_->solve(ctx, x, controls);
-      });
+  return refine_(&executor, initial_x);
 }
 
-engine::Result Refiner::refine(par::ThreadPool& pool,
-                               const linalg::Vector& initial_x) {
-  return refine_impl_(
-      initial_x,
-      [this, &pool](const linalg::Vector& x,
-                    const engine::SolveOptions& controls) {
-        return plan_->solve(pool, x, controls);
-      });
+engine::Result Refiner::solve_at_(const engine::Executor* executor,
+                                  const linalg::Vector& x,
+                                  const engine::RunOptions& run) {
+  return executor != nullptr ? plan_->solve(*executor, x, run)
+                             : plan_->solve(x, run);
 }
 
-engine::Result Refiner::refine(simarch::SimMachine& machine,
-                               const linalg::Vector& initial_x) {
-  return refine_impl_(
-      initial_x,
-      [this, &machine](const linalg::Vector& x,
-                       const engine::SolveOptions& controls) {
-        return plan_->solve(machine, x, controls);
-      });
-}
-
-template <typename SolveFn>
-engine::Result Refiner::refine_impl_(const linalg::Vector& initial_x,
-                                     SolveFn&& solve_at) {
-  engine::SolveOptions controls;
-  controls.cancel = arm_token_();
+engine::Result Refiner::refine_(const engine::Executor* executor,
+                                const linalg::Vector& initial_x) {
+  engine::RunOptions run;
+  run.cancel = arm_token_();
 
   if (options_.mode == Mode::kSinglePass) {
     // One plan execution, bitwise identical to Plan::solve (with null
-    // controls it IS the uncontrolled overload); the Refiner only wraps it
-    // in monitoring, reading — never steering — the solve.
+    // controls it IS the uncontrolled solve); the Refiner only wraps it in
+    // monitoring, reading — never steering — the solve.
     const Residuals before = measure(plan_->hierarchy(), initial_x);
-    engine::Result out = solve_at(initial_x, controls);
+    engine::Result out = solve_at_(executor, initial_x, run);
     const Residuals after = measure(plan_->hierarchy(), out.posterior().x);
     core::RefineReport& rr = out.report.refine;
     rr.mode = mode_name(Mode::kSinglePass);
@@ -167,16 +144,15 @@ engine::Result Refiner::refine_impl_(const linalg::Vector& initial_x,
                              false});
     return out;
   }
-  return run_loop_(initial_x, controls, std::forward<SolveFn>(solve_at));
+  return run_loop_(executor, initial_x, run);
 }
 
-template <typename SolveFn>
-engine::Result Refiner::run_loop_(const linalg::Vector& initial_x,
-                                  const engine::SolveOptions& controls,
-                                  SolveFn&& solve_at) {
+engine::Result Refiner::run_loop_(const engine::Executor* executor,
+                                  const linalg::Vector& initial_x,
+                                  const engine::RunOptions& run) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const bool annealed = options_.mode == Mode::kAnnealed;
-  const par::CancelToken* token = controls.cancel;
+  const par::CancelToken* token = run.cancel;
 
   core::RefineReport rr;
   rr.mode = mode_name(options_.mode);
@@ -218,7 +194,7 @@ engine::Result Refiner::run_loop_(const linalg::Vector& initial_x,
 
     engine::Result r;
     try {
-      r = solve_at(x_lin_, controls);
+      r = solve_at_(executor, x_lin_, run);
     } catch (const engine::DeadlineError&) {
       if (!have_best) throw;
       rr.deadline_degraded = true;

@@ -33,7 +33,7 @@
 // all three executors (tests/refine_determinism_test.cpp pins this).
 //
 // Deadlines (DESIGN.md §13): RefineOptions carries the same wall-clock
-// budget / external token controls as engine::SolveOptions.  The token is
+// budget / external token controls as engine::RunOptions.  The token is
 // polled between iterations and bound through every inner solve; once at
 // least one iteration has completed, expiry DEGRADES the call to the best
 // iterate so far (RefineReport::deadline_degraded) instead of erroring —
@@ -128,10 +128,11 @@ class Refiner {
   Refiner(const Refiner&) = delete;
   Refiner& operator=(const Refiner&) = delete;
 
-  /// Refines from `initial_x` on the plan's own serial context / a caller
-  /// context / a thread pool / a simulated machine.  Every overload runs
-  /// the same controller; only the inner solves differ — and those are
-  /// bitwise identical across executors by the project invariant.
+  /// Refines from `initial_x` on the plan's own serial context, or on
+  /// `executor` (a caller context, a thread pool or a simulated machine).
+  /// Both run the same controller; only the inner solves differ — and
+  /// those are bitwise identical across executors by the project
+  /// invariant.
   ///
   /// The returned Result aggregates the loop: `state` is the BEST iterate
   /// (by chi-squared), `seconds`/`vtime`/`breakdown`/`cycles` sum over all
@@ -139,22 +140,22 @@ class Refiner {
   /// `report` is the best iterate's solve report with `report.refine`
   /// carrying the trajectory (DESIGN.md §14).
   engine::Result refine(const linalg::Vector& initial_x);
-  engine::Result refine(par::ExecContext& ctx, const linalg::Vector& initial_x);
-  engine::Result refine(par::ThreadPool& pool,
-                        const linalg::Vector& initial_x);
-  engine::Result refine(simarch::SimMachine& machine,
+  engine::Result refine(engine::Executor executor,
                         const linalg::Vector& initial_x);
 
   const RefineOptions& options() const { return options_; }
 
  private:
-  template <typename SolveFn>
-  engine::Result refine_impl_(const linalg::Vector& initial_x,
-                              SolveFn&& solve_at);
-  template <typename SolveFn>
-  engine::Result run_loop_(const linalg::Vector& initial_x,
-                           const engine::SolveOptions& controls,
-                           SolveFn&& solve_at);
+  /// The controller; `executor` null = the plan's own serial context.
+  engine::Result refine_(const engine::Executor* executor,
+                         const linalg::Vector& initial_x);
+  engine::Result run_loop_(const engine::Executor* executor,
+                           const linalg::Vector& initial_x,
+                           const engine::RunOptions& run);
+  /// One inner solve at linearization point `x`.
+  engine::Result solve_at_(const engine::Executor* executor,
+                           const linalg::Vector& x,
+                           const engine::RunOptions& run);
   /// Arms the loop-scope token from options_ (deadline and/or external
   /// cancel); null when uncontrolled.
   const par::CancelToken* arm_token_();

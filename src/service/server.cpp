@@ -379,19 +379,20 @@ void Server::execute_(Job& job) {
         // dirty subtrees.  A cold (freshly compiled) instance has no
         // checkpoint and the call degrades to a full solve — either way
         // the response is bitwise identical to a compile-per-request solve
-        // (tests/service_stress_test.cpp pins this).  The controls carry
+        // (tests/service_stress_test.cpp pins this).  The run options carry
         // the deadline token and the degradation opt-in (DESIGN.md §13);
         // with neither armed this is exactly the uncontrolled call.
-        engine::SolveOptions controls;
-        controls.cancel = job.has_deadline ? &token : nullptr;
-        controls.degrade_lowrank = req.degrade_lowrank;
+        engine::RunOptions run;
+        run.mode = engine::RunMode::kIncremental;
+        run.cancel = job.has_deadline ? &token : nullptr;
+        run.degrade_lowrank = req.degrade_lowrank;
         engine::Result result;
         // Kept alive until the response copies out below: an iterated or
         // annealed result borrows its posterior from the Refiner, not the
         // plan.
         std::optional<refine::Refiner> refiner;
         if (req.refine.mode == refine::Mode::kSinglePass) {
-          result = lease.plan().solve_incremental(req.initial, controls);
+          result = lease.plan().solve(req.initial, run);
         } else {
           // Refined request (DESIGN.md §14): run the outer loop on the
           // leased plan under the job's deadline token.  Every iteration is

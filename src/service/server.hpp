@@ -134,7 +134,7 @@ struct Request {
   int retry_budget = 0;
   /// First retry's backoff; doubles per retry, jittered in [0.5x, 1.5x).
   double retry_backoff_seconds = 0.01;
-  /// Opt-in graceful degradation (engine::SolveOptions::degrade_lowrank):
+  /// Opt-in graceful degradation (engine::RunOptions::degrade_lowrank):
   /// when the remaining budget is too tight for the exact path, answer
   /// with the first-order low-rank root update when its preconditions
   /// hold; Response::report.low_rank marks a degraded answer.  Ignored by

@@ -92,6 +92,9 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace phmse::engine {
 namespace {
 
+constexpr RunOptions kIncremental{.mode = RunMode::kIncremental};
+constexpr RunOptions kLowRank{.mode = RunMode::kLowRank};
+
 /// Runs `fn` with the allocation counter armed; returns the count.
 template <typename Fn>
 long count_allocations(Fn&& fn) {
@@ -183,7 +186,7 @@ TEST(SteadyStateAllocations, IncrementalResolveAllocatesNothing) {
   values[0] += 0.01;
   const long dirty_steady = count_allocations([&] {
     plan.set_observations(values);
-    plan.solve_incremental(x0);
+    plan.solve(x0, kIncremental);
   });
   EXPECT_EQ(dirty_steady, 0)
       << "the incremental re-solve touched the heap " << dirty_steady
@@ -192,7 +195,7 @@ TEST(SteadyStateAllocations, IncrementalResolveAllocatesNothing) {
   // No-op rebind: the empty dirty set short-circuits every node.
   const long noop_steady = count_allocations([&] {
     plan.set_observations(values);
-    plan.solve_incremental(x0);
+    plan.solve(x0, kIncremental);
   });
   EXPECT_EQ(noop_steady, 0);
 }
@@ -219,13 +222,13 @@ TEST(SteadyStateAllocations, LowRankResolveAllocatesNothing) {
 
   values[0] += 0.01;
   plan.set_observations(values);
-  const Result warm = plan.solve_lowrank(x0);  // warm-up: sizes the shift
+  const Result warm = plan.solve(x0, kLowRank);  // warm-up: sizes the shift
   ASSERT_TRUE(warm.report.low_rank);
 
   values[1] += 0.01;
   const long steady = count_allocations([&] {
     plan.set_observations(values);
-    plan.solve_lowrank(x0);
+    plan.solve(x0, kLowRank);
   });
   EXPECT_EQ(steady, 0)
       << "the low-rank re-solve touched the heap " << steady << " time(s)";

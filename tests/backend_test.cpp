@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "constraints/helix_gen.hpp"
-#include "estimation/solver.hpp"
+#include "engine/engine.hpp"
 #include "estimation/update.hpp"
 #include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
@@ -159,11 +159,11 @@ TEST(Backend, DefaultPicksBestAvailableUnlessForced) {
 
 TEST(Backend, UnknownNameFailsFastListingValidBackendsAndCpuSupport) {
   try {
-    backend_or_throw("gpu", "SolveOptions.backend");
+    backend_or_throw("gpu", "HierSolveOptions.backend");
     FAIL() << "expected phmse::Error";
   } catch (const Error& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("SolveOptions.backend"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("HierSolveOptions.backend"), std::string::npos) << msg;
     EXPECT_NE(msg.find("unknown backend 'gpu'"), std::string::npos) << msg;
     EXPECT_NE(msg.find("valid backends: ref, blocked, simd"),
               std::string::npos)
@@ -176,16 +176,11 @@ TEST(Backend, UnknownNameFailsFastListingValidBackendsAndCpuSupport) {
 }
 
 TEST(Backend, SolveOptionsUnknownBackendFailsFast) {
-  est::NodeState st;
-  st.atom_begin = 0;
-  st.atom_end = 2;
-  st.x.assign(6, 0.0);
-  st.reset_covariance(1.0);
-  cons::ConstraintSet set;
-  par::SerialContext ctx;
-  est::SolveOptions options;
-  options.backend = "cuda";
-  EXPECT_THROW(est::solve_flat(ctx, st, set, options), Error);
+  engine::CompileOptions options;
+  options.solve.backend = "cuda";
+  EXPECT_THROW(engine::Engine::compile(
+                   engine::Problem::flat(2, cons::ConstraintSet{}), options),
+               Error);
 }
 
 // -- storage alignment (the microkernels' aligned-load guarantee) -----------

@@ -23,6 +23,7 @@
 #include "molecule/rna_helix.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/thread_pool.hpp"
+#include "refine/refiner.hpp"
 #include "service/server.hpp"
 #include "simarch/sim_context.hpp"
 #include "support/rng.hpp"
@@ -56,6 +57,18 @@ TEST(CancelToken, DeadlineClockExpires) {
   EXPECT_LT(token.remaining_seconds(), 0.0);
   token.reset();
   EXPECT_FALSE(token.expired());
+}
+
+TEST(CancelToken, OutOfRangeDeadlinesSaturateInsteadOfExpiring) {
+  par::CancelToken token;
+  for (const double seconds :
+       {std::numeric_limits<double>::infinity(), 1e10, 1e300}) {
+    token.set_deadline_after(seconds);
+    EXPECT_FALSE(token.expired()) << seconds;
+    EXPECT_GT(token.remaining_seconds(), 1e9) << seconds;
+  }
+  token.set_deadline_after(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(token.expired());  // NaN is not a budget: fires at once
 }
 
 TEST(CancelToken, LinkObservesUpstream) {
@@ -130,7 +143,7 @@ struct Fixture {
 TEST(Deadline, SpentBudgetShedsBeforeTheSolveStarts) {
   Fixture f;
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
-  engine::SolveOptions controls;
+  engine::RunOptions controls;
   controls.deadline_seconds = 1e-12;  // expires before the pre-check runs
   std::this_thread::sleep_for(std::chrono::microseconds(10));
   EXPECT_THROW((void)plan.solve(f.initial, controls), engine::DeadlineError);
@@ -139,12 +152,57 @@ TEST(Deadline, SpentBudgetShedsBeforeTheSolveStarts) {
   EXPECT_GT(r.cycles, 0);
 }
 
+TEST(Deadline, InfiniteAndHugeBudgetsComplete) {
+  Fixture f;
+  engine::Plan ref = Engine::compile(f.problem(), Fixture::options());
+  const engine::Result want = ref.solve(f.initial);
+  engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
+  for (const double seconds : {std::numeric_limits<double>::infinity(), 1e10}) {
+    engine::RunOptions controls;
+    controls.deadline_seconds = seconds;
+    const engine::Result got = plan.solve(f.initial, controls);
+    EXPECT_TRUE(want.posterior().x == got.posterior().x) << seconds;
+    EXPECT_FALSE(got.report.cancelled) << seconds;
+  }
+}
+
+TEST(Deadline, NanBudgetIsRejected) {
+  Fixture f;
+  engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
+  engine::RunOptions controls;
+  controls.deadline_seconds = std::numeric_limits<double>::quiet_NaN();
+  try {
+    (void)plan.solve(f.initial, controls);
+    FAIL() << "expected phmse::Error";
+  } catch (const engine::DeadlineError&) {
+    FAIL() << "NaN must be rejected as invalid input, not as an expiry";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("NaN"), std::string::npos)
+        << e.what();
+  }
+  // Rejected before the plan was touched: a plain solve still works.
+  EXPECT_GT(plan.solve(f.initial).cycles, 0);
+}
+
+TEST(Deadline, RefinerWithHugeBudgetCompletes) {
+  Fixture f;
+  engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
+  refine::RefineOptions ropts;
+  ropts.mode = refine::Mode::kIterated;
+  ropts.max_iterations = 3;
+  ropts.deadline_seconds = 1e10;
+  refine::Refiner refiner(plan, ropts);
+  const engine::Result r = refiner.refine(f.initial);
+  EXPECT_GT(r.report.refine.iterations, 0);
+  EXPECT_FALSE(r.report.refine.deadline_degraded);
+}
+
 TEST(Deadline, PreCancelledTokenShedsWithCancelledError) {
   Fixture f;
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
   par::CancelToken token;
   token.cancel();
-  engine::SolveOptions controls;
+  engine::RunOptions controls;
   controls.cancel = &token;
   EXPECT_THROW((void)plan.solve(f.initial, controls), par::CancelledError);
   // The caller's token is never mutated by the engine: still just a flag.
@@ -157,7 +215,7 @@ TEST(Deadline, DefaultControlsAreTheUncontrolledPath) {
   engine::Plan a = Engine::compile(f.problem(), Fixture::options());
   engine::Plan b = Engine::compile(f.problem(), Fixture::options());
   const engine::Result want = a.solve(f.initial);
-  const engine::Result got = b.solve(f.initial, engine::SolveOptions{});
+  const engine::Result got = b.solve(f.initial, engine::RunOptions{});
   EXPECT_TRUE(want.posterior().x == got.posterior().x);
 }
 
@@ -172,7 +230,7 @@ TEST(Deadline, SerialPostCancelSolveIsBitwiseIdentical) {
   const engine::Result want = ref.solve(f.initial);
 
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
-  engine::SolveOptions controls;
+  engine::RunOptions controls;
   controls.deadline_seconds = std::max(want.seconds * 0.1, 1e-5);
   bool cancelled = false;
   try {
@@ -197,7 +255,7 @@ TEST(Deadline, ThreadedPostCancelSolveIsBitwiseIdentical) {
   const engine::Result want = ref.solve(pool, f.initial);
 
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
-  engine::SolveOptions controls;
+  engine::RunOptions controls;
   controls.deadline_seconds = std::max(want.seconds * 0.1, 1e-5);
   try {
     (void)plan.solve(pool, f.initial, controls);
@@ -215,7 +273,7 @@ TEST(Deadline, SimulatedPostCancelSolveIsBitwiseIdentical) {
   const engine::Result want = ref.solve(m1, f.initial);
 
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
-  engine::SolveOptions controls;
+  engine::RunOptions controls;
   // The deadline clock is wall-clock even under the simulated executor
   // (the simulation itself takes real time to run).
   controls.deadline_seconds = std::max(want.seconds * 0.1, 1e-5);
@@ -246,20 +304,21 @@ TEST(Deadline, DegradeLowrankAnswersUnderATightDeadline) {
   values[0] += 1e-3;
   plan.set_observations(values);
 
-  engine::SolveOptions controls;
+  engine::RunOptions controls;
+  controls.mode = engine::RunMode::kIncremental;
   controls.deadline_seconds = std::max(warm.seconds * 0.5, 1e-6);
   controls.degrade_lowrank = true;
-  const engine::Result degraded = plan.solve_incremental(f.initial, controls);
+  const engine::Result degraded = plan.solve(f.initial, controls);
   EXPECT_TRUE(degraded.report.low_rank);
 
   // Without the opt-in the same budget runs the exact path (and on this
   // problem size may or may not make it — both outcomes are legal; what
   // must hold is that low_rank is never silently chosen).
   plan.set_observations(values);
-  engine::SolveOptions exact_controls;
+  engine::RunOptions exact_controls;
+  exact_controls.mode = engine::RunMode::kIncremental;
   exact_controls.deadline_seconds = 30.0;
-  const engine::Result exact = plan.solve_incremental(f.initial,
-                                                      exact_controls);
+  const engine::Result exact = plan.solve(f.initial, exact_controls);
   EXPECT_FALSE(exact.report.low_rank);
 }
 
@@ -347,7 +406,7 @@ TEST_F(DeadlineFault, StallMakesMidFlightExpiryDeterministic) {
   // 20ms deadline is over when the post-stall poll looks at the clock.
   fault::Injector::instance().arm(
       {fault::Kind::kStall, -1, -1, -1, 0.08, /*max_fires=*/1});
-  engine::SolveOptions controls;
+  engine::RunOptions controls;
   controls.deadline_seconds = 0.02;
   EXPECT_THROW((void)plan.solve(f.initial, controls), engine::DeadlineError);
   EXPECT_TRUE(plan.last_report().cancelled);
@@ -370,7 +429,7 @@ TEST_F(DeadlineFault, ExplicitCancelNamesTheAbortLocation) {
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
     token.cancel();
   });
-  engine::SolveOptions controls;
+  engine::RunOptions controls;
   controls.cancel = &token;
   try {
     (void)plan.solve(f.initial, controls);
@@ -394,7 +453,7 @@ TEST_F(DeadlineFault, StalledThreadedAndSimRunsStayBitwiseAfterCancel) {
   engine::Plan plan = Engine::compile(f.problem(), Fixture::options());
   fault::Injector::instance().arm(
       {fault::Kind::kStall, -1, -1, -1, 0.08, /*max_fires=*/1});
-  engine::SolveOptions controls;
+  engine::RunOptions controls;
   controls.deadline_seconds = 0.02;
   EXPECT_THROW((void)plan.solve(pool, f.initial, controls),
                engine::DeadlineError);

@@ -4,6 +4,7 @@
 #include "core/assign.hpp"
 #include "core/dynamic.hpp"
 #include "core/schedule.hpp"
+#include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
 #include "molecule/rna_helix.hpp"
 #include "support/rng.hpp"
@@ -44,15 +45,40 @@ TEST(DynamicSolver, NumericsMatchStaticSchedule) {
 
   Hierarchy h1 = prepared(p, 6);
   simarch::SimMachine m1(simarch::generic(6));
-  const SimSolveResult stat = solve_hierarchical_sim(h1, p.initial, opts, m1);
+  SolvePlan stat(h1, opts);
+  stat.run(m1, p.initial);
 
   Hierarchy h2 = prepared(p, 6);
   simarch::SimMachine m2(simarch::generic(6));
-  const SimSolveResult dyn =
+  const DynamicSimResult dyn =
       solve_hierarchical_dynamic_sim(h2, p.initial, opts, m2);
 
-  EXPECT_EQ(stat.result.state.x, dyn.result.state.x);
-  EXPECT_EQ(stat.result.state.c, dyn.result.state.c);
+  EXPECT_EQ(stat.root_state().x, dyn.state.x);
+  EXPECT_EQ(stat.root_state().c, dyn.state.c);
+}
+
+TEST(DynamicSolver, HonorsTheDegradationPolicy) {
+  // One wildly wrong observation: under gate_outliers the static schedule
+  // drops its batch instead of throwing, and the dynamic waves must apply
+  // the same policy and land on the same posterior.
+  Problem p = helix_problem(2);
+  p.set.set_observed(0, p.set[0].observed + 1e3);
+  HierSolveOptions opts;
+  opts.policy = est::SolvePolicy::gate_outliers();
+
+  Hierarchy h1 = prepared(p, 6);
+  simarch::SimMachine m1(simarch::generic(6));
+  SolvePlan stat(h1, opts);
+  stat.run(m1, p.initial);
+  ASSERT_GT(stat.last_report().gated, 0);
+
+  Hierarchy h2 = prepared(p, 6);
+  simarch::SimMachine m2(simarch::generic(6));
+  const DynamicSimResult dyn =
+      solve_hierarchical_dynamic_sim(h2, p.initial, opts, m2);
+
+  EXPECT_EQ(stat.root_state().x, dyn.state.x);
+  EXPECT_EQ(stat.root_state().c, dyn.state.c);
 }
 
 TEST(DynamicSolver, HelpsAtNonPowerOfTwoProcessorCounts) {
@@ -64,7 +90,7 @@ TEST(DynamicSolver, HelpsAtNonPowerOfTwoProcessorCounts) {
   auto static_time = [&](int procs) {
     Hierarchy h = prepared(p, procs);
     simarch::SimMachine m(simarch::dash32());
-    return solve_hierarchical_sim(h, p.initial, opts, m).vtime;
+    return SolvePlan(h, opts).run(m, p.initial).vtime;
   };
   auto dynamic_time = [&](int procs) {
     Hierarchy h = prepared(p, procs);
@@ -98,10 +124,10 @@ TEST(DynamicSolver, CyclesAndConvergenceWork) {
   opts.max_cycles = 40;
   opts.prior_sigma = 0.5;
   opts.tolerance = 0.05;
-  const SimSolveResult res =
+  const DynamicSimResult res =
       solve_hierarchical_dynamic_sim(h, p.initial, opts, m);
-  EXPECT_TRUE(res.result.converged);
-  EXPECT_LT(p.model.topology.rmsd_to_truth(res.result.state.x),
+  EXPECT_TRUE(res.converged);
+  EXPECT_LT(p.model.topology.rmsd_to_truth(res.state.x),
             p.model.topology.rmsd_to_truth(p.initial));
 }
 

@@ -5,11 +5,11 @@
 
 #include "constraints/set.hpp"
 #include "core/assign.hpp"
-#include "core/hier_solver.hpp"
 #include "core/schedule.hpp"
+#include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
+#include "engine/engine.hpp"
 #include "estimation/combine.hpp"
-#include "estimation/solver.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
 #include "support/rng.hpp"
@@ -18,19 +18,12 @@ namespace phmse {
 namespace {
 
 TEST(EdgeCases, EmptyConstraintSetSolvesAsNoOp) {
-  est::NodeState st;
-  st.atom_begin = 0;
-  st.atom_end = 2;
-  st.x = {0, 0, 0, 1, 1, 1};
-  st.reset_covariance(1.0);
-  const linalg::Vector x_before = st.x;
-
-  par::SerialContext ctx;
-  est::SolveOptions opts;
-  const est::SolveResult res =
-      est::solve_flat(ctx, st, cons::ConstraintSet{}, opts);
+  const linalg::Vector x_before = {0, 0, 0, 1, 1, 1};
+  engine::Plan plan = engine::Engine::compile(
+      engine::Problem::flat(2, cons::ConstraintSet{}));
+  const engine::Result res = plan.solve(x_before);
   EXPECT_EQ(res.cycles, 1);
-  EXPECT_EQ(st.x, x_before);
+  EXPECT_EQ(res.posterior().x, x_before);
 }
 
 TEST(EdgeCases, SingleAtomMoleculeWorksEndToEnd) {
@@ -48,10 +41,9 @@ TEST(EdgeCases, SingleAtomMoleculeWorksEndToEnd) {
   core::assign_processors(h, 4);
 
   par::SerialContext ctx;
-  core::HierSolveOptions opts;
-  const core::HierSolveResult res =
-      core::solve_hierarchical(ctx, h, {0.0, 0.0, 0.0}, opts);
-  EXPECT_NEAR(res.state.x[2], 5.0, 0.1);
+  core::SolvePlan plan(h, core::HierSolveOptions{});
+  plan.run(ctx, {0.0, 0.0, 0.0});
+  EXPECT_NEAR(plan.root_state().x[2], 5.0, 0.1);
 }
 
 TEST(EdgeCases, BatchLargerThanSetIsOneBatch) {
@@ -119,15 +111,11 @@ TEST(EdgeCases, ResetCovarianceRejectsNonPositiveSigma) {
 }
 
 TEST(EdgeCases, SolverRejectsZeroCycles) {
-  est::NodeState st;
-  st.atom_begin = 0;
-  st.atom_end = 1;
-  st.x = {0, 0, 0};
-  st.reset_covariance(1.0);
-  par::SerialContext ctx;
-  est::SolveOptions opts;
-  opts.max_cycles = 0;
-  EXPECT_THROW(est::solve_flat(ctx, st, cons::ConstraintSet{}, opts), Error);
+  engine::CompileOptions copts;
+  copts.solve.max_cycles = 0;
+  engine::Plan plan = engine::Engine::compile(
+      engine::Problem::flat(1, cons::ConstraintSet{}), copts);
+  EXPECT_THROW(plan.solve({0.0, 0.0, 0.0}), Error);
 }
 
 TEST(EdgeCases, HierarchyWithEmptyAtomRangeLeafIsValid) {

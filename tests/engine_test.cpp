@@ -1,6 +1,6 @@
 // The phmse::Engine facade: compile-once / solve-many.  These tests pin
-// the facade to the legacy one-shot entry points (a compiled plan must
-// produce bitwise the numbers solve_hierarchical{,_sim} produce) and
+// the facade to the core layer (a compiled plan must produce bitwise the
+// numbers a core::SolvePlan over a hand-prepared hierarchy produces) and
 // exercise the plan-reuse surface: repeated solves, rescheduling,
 // observation rebinding, compile timings, and the describe() dump.
 #include <gtest/gtest.h>
@@ -9,8 +9,8 @@
 
 #include "constraints/helix_gen.hpp"
 #include "core/assign.hpp"
-#include "core/hier_solver.hpp"
 #include "core/schedule.hpp"
+#include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
 #include "engine/engine.hpp"
 #include "linalg/backend.hpp"
@@ -19,6 +19,8 @@
 
 namespace phmse::engine {
 namespace {
+
+constexpr RunOptions kIncremental{.mode = RunMode::kIncremental};
 
 struct Fixture {
   mol::HelixModel model = mol::build_helix(2);
@@ -72,17 +74,18 @@ TEST(Engine, SerialSolveIsBitwiseTheLegacySolver) {
   core::estimate_work(h, core::WorkModel{}, opts.solve.batch_size);
   core::assign_processors(h, 1);
   par::SerialContext ctx;
-  const core::HierSolveResult legacy =
-      core::solve_hierarchical(ctx, h, f.initial, opts.solve);
+  core::SolvePlan core_plan(h, opts.solve);
+  const core::PlanRunStats legacy = core_plan.run(ctx, f.initial);
+  const est::NodeState& state = core_plan.root_state();
 
-  ASSERT_EQ(res.posterior().x.size(), legacy.state.x.size());
-  for (std::size_t i = 0; i < legacy.state.x.size(); ++i) {
-    EXPECT_EQ(res.posterior().x[i], legacy.state.x[i]) << "coord " << i;
+  ASSERT_EQ(res.posterior().x.size(), state.x.size());
+  for (std::size_t i = 0; i < state.x.size(); ++i) {
+    EXPECT_EQ(res.posterior().x[i], state.x[i]) << "coord " << i;
   }
   EXPECT_EQ(res.cycles, legacy.cycles);
   EXPECT_EQ(res.last_cycle_delta, legacy.last_cycle_delta);
   EXPECT_EQ(res.converged, legacy.converged);
-  EXPECT_EQ(res.posterior().c.frobenius_distance(legacy.state.c), 0.0);
+  EXPECT_EQ(res.posterior().c.frobenius_distance(state.c), 0.0);
 }
 
 TEST(Engine, SimulatedSolveIsBitwiseTheLegacySimSolver) {
@@ -98,12 +101,12 @@ TEST(Engine, SimulatedSolveIsBitwiseTheLegacySimSolver) {
   core::estimate_work(h, core::WorkModel{}, opts.solve.batch_size);
   core::assign_processors(h, 4);
   simarch::SimMachine machine2(simarch::generic(8));
-  const core::SimSolveResult legacy =
-      core::solve_hierarchical_sim(h, f.initial, opts.solve, machine2);
+  core::SolvePlan core_plan(h, opts.solve);
+  const core::PlanRunStats legacy = core_plan.run(machine2, f.initial);
 
   EXPECT_EQ(res.vtime, legacy.vtime);
-  for (std::size_t i = 0; i < legacy.result.state.x.size(); ++i) {
-    EXPECT_EQ(res.posterior().x[i], legacy.result.state.x[i]);
+  for (std::size_t i = 0; i < core_plan.root_state().x.size(); ++i) {
+    EXPECT_EQ(res.posterior().x[i], core_plan.root_state().x[i]);
   }
 }
 
@@ -190,7 +193,7 @@ TEST(Engine, NoOpObservationRebindRecomputesNothing) {
 
   plan.set_observations(values);  // identical values: nothing marked
   EXPECT_EQ(plan.pending_dirty_nodes(), 0u);
-  const Result noop = plan.solve_incremental(f.initial);
+  const Result noop = plan.solve(f.initial, kIncremental);
   EXPECT_TRUE(noop.report.incremental);
   EXPECT_EQ(noop.report.nodes_recomputed, 0);
   EXPECT_EQ(noop.report.nodes_reused, num_nodes);
@@ -203,7 +206,7 @@ TEST(Engine, NoOpObservationRebindRecomputesNothing) {
   values[0] += 0.05;
   plan.set_observations(values);
   EXPECT_EQ(plan.pending_dirty_nodes(), 1u);
-  const Result touched = plan.solve_incremental(f.initial);
+  const Result touched = plan.solve(f.initial, kIncremental);
   EXPECT_TRUE(touched.report.incremental);
   EXPECT_GT(touched.report.nodes_recomputed, 0);
   EXPECT_LT(touched.report.nodes_recomputed, num_nodes);

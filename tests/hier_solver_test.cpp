@@ -2,9 +2,10 @@
 
 #include "constraints/helix_gen.hpp"
 #include "core/assign.hpp"
-#include "core/hier_solver.hpp"
 #include "core/schedule.hpp"
+#include "core/solve_plan.hpp"
 #include "core/work_model.hpp"
+#include "engine/engine.hpp"
 #include "molecule/rna_helix.hpp"
 #include "support/rng.hpp"
 
@@ -44,9 +45,10 @@ TEST(HierSolver, RunsAndImprovesEstimate) {
   HierSolveOptions opts;
   opts.max_cycles = 6;
   opts.prior_sigma = 0.5;
-  const HierSolveResult res = solve_hierarchical(ctx, h, p.initial, opts);
+  SolvePlan plan(h, opts);
+  const PlanRunStats res = plan.run(ctx, p.initial);
   EXPECT_EQ(res.cycles, 6);
-  EXPECT_LT(p.model.topology.rmsd_to_truth(res.state.x),
+  EXPECT_LT(p.model.topology.rmsd_to_truth(plan.root_state().x),
             p.model.topology.rmsd_to_truth(p.initial));
 }
 
@@ -57,11 +59,12 @@ TEST(HierSolver, ReducesConstraintResidual) {
   HierSolveOptions opts;
   opts.max_cycles = 6;
   opts.prior_sigma = 0.5;
-  const HierSolveResult res = solve_hierarchical(ctx, h, p.initial, opts);
+  SolvePlan plan(h, opts);
+  plan.run(ctx, p.initial);
   const double before =
       cons::rms_residual(p.set, p.model.topology, p.initial);
   const double after =
-      cons::rms_residual(p.set, p.model.topology, res.state.x);
+      cons::rms_residual(p.set, p.model.topology, plan.root_state().x);
   EXPECT_LT(after, 0.5 * before);
 }
 
@@ -77,23 +80,19 @@ TEST(HierSolver, MatchesFlatSolutionQuality) {
   HierSolveOptions hopts;
   hopts.max_cycles = 8;
   hopts.prior_sigma = 0.5;
-  const HierSolveResult hier = solve_hierarchical(ctx1, h, p.initial, hopts);
+  SolvePlan hier(h, hopts);
+  hier.run(ctx1, p.initial);
 
-  est::NodeState flat_state;
-  flat_state.atom_begin = 0;
-  flat_state.atom_end = p.model.num_atoms();
-  flat_state.x = p.initial;
-  flat_state.reset_covariance(0.5);
-  par::SerialContext ctx2;
-  est::SolveOptions fopts;
-  fopts.max_cycles = 8;
-  fopts.prior_sigma = 0.5;
-  est::solve_flat(ctx2, flat_state, p.set, fopts);
+  engine::CompileOptions fopts;
+  fopts.solve = hopts;
+  engine::Plan flat = engine::Engine::compile(
+      engine::Problem::flat(p.model.num_atoms(), p.set), fopts);
+  const engine::Result flat_res = flat.solve(p.initial);
 
   const double rms_hier =
-      cons::rms_residual(p.set, p.model.topology, hier.state.x);
+      cons::rms_residual(p.set, p.model.topology, hier.root_state().x);
   const double rms_flat =
-      cons::rms_residual(p.set, p.model.topology, flat_state.x);
+      cons::rms_residual(p.set, p.model.topology, flat_res.posterior().x);
   EXPECT_NEAR(rms_hier, rms_flat, 0.1);
 }
 
@@ -102,15 +101,16 @@ TEST(HierSolver, SimulatedNumericsMatchSerialBitwise) {
   Hierarchy h1 = prepared_hierarchy(p, 1);
   par::SerialContext ctx;
   HierSolveOptions opts;
-  const HierSolveResult serial = solve_hierarchical(ctx, h1, p.initial, opts);
+  SolvePlan serial(h1, opts);
+  serial.run(ctx, p.initial);
 
   for (int procs : {1, 5, 16}) {
     Hierarchy h2 = prepared_hierarchy(p, procs);
     simarch::SimMachine machine(simarch::generic(procs));
-    const SimSolveResult sim =
-        solve_hierarchical_sim(h2, p.initial, opts, machine);
-    EXPECT_EQ(sim.result.state.x, serial.state.x) << "procs=" << procs;
-    EXPECT_EQ(sim.result.state.c, serial.state.c) << "procs=" << procs;
+    SolvePlan sim(h2, opts);
+    sim.run(machine, p.initial);
+    EXPECT_EQ(sim.root_state().x, serial.root_state().x) << "procs=" << procs;
+    EXPECT_EQ(sim.root_state().c, serial.root_state().c) << "procs=" << procs;
   }
 }
 
@@ -119,15 +119,18 @@ TEST(HierSolver, ThreadedNumericsMatchSerialBitwise) {
   Hierarchy h1 = prepared_hierarchy(p, 1);
   par::SerialContext ctx;
   HierSolveOptions opts;
-  const HierSolveResult serial = solve_hierarchical(ctx, h1, p.initial, opts);
+  SolvePlan serial(h1, opts);
+  serial.run(ctx, p.initial);
 
   for (int procs : {1, 2, 4}) {
     Hierarchy h2 = prepared_hierarchy(p, procs);
     par::ThreadPool pool(procs);
-    const HierSolveResult threaded =
-        solve_hierarchical_threaded(h2, p.initial, opts, pool);
-    EXPECT_EQ(threaded.state.x, serial.state.x) << "procs=" << procs;
-    EXPECT_EQ(threaded.state.c, serial.state.c) << "procs=" << procs;
+    SolvePlan threaded(h2, opts);
+    threaded.run(pool, p.initial);
+    EXPECT_EQ(threaded.root_state().x, serial.root_state().x)
+        << "procs=" << procs;
+    EXPECT_EQ(threaded.root_state().c, serial.root_state().c)
+        << "procs=" << procs;
   }
 }
 
@@ -138,7 +141,7 @@ TEST(HierSolver, SimSpeedupGrowsWithProcessors) {
   auto vtime_at = [&](int procs) {
     Hierarchy h = prepared_hierarchy(p, procs);
     simarch::SimMachine machine(simarch::generic(procs));
-    return solve_hierarchical_sim(h, p.initial, opts, machine).vtime;
+    return SolvePlan(h, opts).run(machine, p.initial).vtime;
   };
   const double t1 = vtime_at(1);
   const double t4 = vtime_at(4);
@@ -151,8 +154,8 @@ TEST(HierSolver, SimSoloProcessorHasNoBarrierOverheadAtLeaves) {
   const Problem p = helix_problem(1);
   Hierarchy h = prepared_hierarchy(p, 1);
   simarch::SimMachine machine(simarch::generic(1));
-  const SimSolveResult res =
-      solve_hierarchical_sim(h, p.initial, HierSolveOptions{}, machine);
+  const PlanRunStats res =
+      SolvePlan(h, HierSolveOptions{}).run(machine, p.initial);
   // With one processor, vtime equals the sum of all categories.
   EXPECT_NEAR(res.vtime, res.breakdown.total(), 1e-9);
 }
@@ -161,8 +164,8 @@ TEST(HierSolver, BreakdownCategoriesPopulated) {
   const Problem p = helix_problem(2);
   Hierarchy h = prepared_hierarchy(p, 8);
   simarch::SimMachine machine(simarch::dash32());
-  const SimSolveResult res =
-      solve_hierarchical_sim(h, p.initial, HierSolveOptions{}, machine);
+  const PlanRunStats res =
+      SolvePlan(h, HierSolveOptions{}).run(machine, p.initial);
   using perf::Category;
   for (Category c : {Category::kDenseSparse, Category::kCholesky,
                      Category::kSystemSolve, Category::kMatMat,
@@ -179,8 +182,8 @@ TEST(HierSolver, RejectsWrongInitialDimension) {
   Hierarchy h = prepared_hierarchy(p, 1);
   par::SerialContext ctx;
   linalg::Vector wrong(10, 0.0);
-  EXPECT_THROW(solve_hierarchical(ctx, h, wrong, HierSolveOptions{}),
-               phmse::Error);
+  SolvePlan plan(h, HierSolveOptions{});
+  EXPECT_THROW(plan.run(ctx, wrong), phmse::Error);
 }
 
 TEST(HierSolver, ToleranceConverges) {
@@ -191,8 +194,8 @@ TEST(HierSolver, ToleranceConverges) {
   opts.max_cycles = 60;
   opts.prior_sigma = 0.5;
   opts.tolerance = 0.05;  // gauge modes random-walk at ~0.01 A / cycle
-  const HierSolveResult res = solve_hierarchical(ctx, h, p.initial, opts);
-  EXPECT_TRUE(res.converged);
+  SolvePlan plan(h, opts);
+  EXPECT_TRUE(plan.run(ctx, p.initial).converged);
 }
 
 }  // namespace

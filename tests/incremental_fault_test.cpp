@@ -28,6 +28,9 @@
 namespace phmse::est {
 namespace {
 
+constexpr engine::RunOptions kIncremental{
+    .mode = engine::RunMode::kIncremental};
+
 #ifndef PHMSE_FAULT_INJECTION
 
 TEST(IncrementalFault, RequiresInjectionBuild) {
@@ -172,10 +175,11 @@ TEST_F(IncrementalFault, DroppedBatchKeepsCheckpointsConsistent) {
 
     const engine::Result want = ref.solve(fx.x0);
     EXPECT_EQ(want.report.skipped, 1);
-    const engine::Result got = inc.solve_incremental(fx.x0);
+    const engine::Result got = inc.solve(fx.x0, kIncremental);
     const engine::Result got_threaded =
-        inc_threaded.solve_incremental(pool, fx.x0);
-    const engine::Result got_sim = inc_sim.solve_incremental(machine, fx.x0);
+        inc_threaded.solve(pool, fx.x0, kIncremental);
+    const engine::Result got_sim =
+        inc_sim.solve(machine, fx.x0, kIncremental);
     EXPECT_TRUE(got.report.incremental);
     const std::string tag = "round " + std::to_string(round);
     expect_same(got, want, tag + " serial");
@@ -207,7 +211,7 @@ TEST_F(IncrementalFault, RetriedBatchKeepsCheckpointsConsistent) {
     inc.set_observations(values);
     const engine::Result want = ref.solve(fx.x0);
     EXPECT_EQ(want.report.retried, 1);
-    const engine::Result got = inc.solve_incremental(fx.x0);
+    const engine::Result got = inc.solve(fx.x0, kIncremental);
     EXPECT_TRUE(got.report.incremental);
     expect_same(got, want,
                 dirty_inside ? "dirty inside faulty leaf" : "dirty outside");
@@ -232,13 +236,13 @@ TEST_F(IncrementalFault, AbortInvalidatesCheckpointAndFallsBackToFullRun) {
   fault::Injector::instance().arm({.kind = fault::Kind::kNonSpd,
                                    .atom_begin = fx.target_atom_begin,
                                    .atom_end = fx.target_atom_end});
-  EXPECT_THROW(inc.solve_incremental(fx.x0), Error);
+  EXPECT_THROW(inc.solve(fx.x0, kIncremental), Error);
   EXPECT_FALSE(inc.has_checkpoint());
 
   fault::Injector::instance().clear();
   ref.set_observations(values);
   const engine::Result want = ref.solve(fx.x0);
-  const engine::Result got = inc.solve_incremental(fx.x0);
+  const engine::Result got = inc.solve(fx.x0, kIncremental);
   EXPECT_FALSE(got.report.incremental);  // no checkpoint: full fallback
   EXPECT_EQ(got.report.nodes_recomputed, num_nodes);
   expect_same(got, want, "post-abort fallback");
@@ -268,7 +272,7 @@ TEST_F(IncrementalFault, ClearedFaultNeedsDirtyMarkToRecover) {
   std::vector<double> values = fx.base_values();
   values[fx.slot_relative_to_target(false)] += 0.01;
   inc.set_observations(values);
-  const engine::Result stale = inc.solve_incremental(fx.x0);
+  const engine::Result stale = inc.solve(fx.x0, kIncremental);
   EXPECT_TRUE(stale.report.incremental);
   EXPECT_EQ(stale.report.skipped, 1);  // replayed from the faulted sweep
 
@@ -279,7 +283,7 @@ TEST_F(IncrementalFault, ClearedFaultNeedsDirtyMarkToRecover) {
   ref.set_observations(values);
   const engine::Result want = ref.solve(fx.x0);
   ASSERT_EQ(want.report.skipped, 0);
-  const engine::Result got = inc.solve_incremental(fx.x0);
+  const engine::Result got = inc.solve(fx.x0, kIncremental);
   EXPECT_TRUE(got.report.incremental);
   expect_same(got, want, "recovery after dirty mark");
 }

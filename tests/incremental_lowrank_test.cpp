@@ -1,7 +1,7 @@
 // Tolerance harness for the opt-in low-rank perturbative re-solve
-// (DESIGN.md §11).  Unlike solve_incremental — exact and covered by the
+// (DESIGN.md §11).  Unlike RunMode::kIncremental — exact and covered by the
 // bitwise differential harness in incremental_property_test.cpp — the
-// solve_lowrank path shifts the checkpointed root mean by
+// RunMode::kLowRank path shifts the checkpointed root mean by
 // C·H^T·R^-1·dz using each constraint's archived Jacobian row, a
 // first-order approximation.  Its error is linear in the observation
 // change dz (halve the nudge, halve the error), but RELATIVE to the
@@ -31,6 +31,9 @@
 
 namespace phmse::engine {
 namespace {
+
+constexpr RunOptions kIncremental{.mode = RunMode::kIncremental};
+constexpr RunOptions kLowRank{.mode = RunMode::kLowRank};
 
 // A jittered chain molecule: position anchor on atom 0 plus random pair
 // distances, enough of them (> 64) to overflow the pending-change cap when
@@ -128,8 +131,8 @@ TEST(IncrementalLowRank, SingleNudgeTracksExactSolveWithinTolerance) {
   fast.set_observations(values);
   EXPECT_EQ(fast.pending_observation_changes(), 1u);
 
-  const Result want = exact.solve_incremental(cp.initial);
-  const Result got = fast.solve_lowrank(cp.initial);
+  const Result want = exact.solve(cp.initial, kIncremental);
+  const Result got = fast.solve(cp.initial, kLowRank);
 
   EXPECT_TRUE(got.report.low_rank);
   EXPECT_TRUE(got.report.incremental);
@@ -171,8 +174,8 @@ TEST(IncrementalLowRank, ErrorIsFirstOrderInTheNudge) {
     values[10] += deltas[s];
     exact.set_observations(values);
     fast.set_observations(values);
-    const Result want = exact.solve_incremental(cp.initial);
-    const Result got = fast.solve_lowrank(cp.initial);
+    const Result want = exact.solve(cp.initial, kIncremental);
+    const Result got = fast.solve(cp.initial, kLowRank);
     ASSERT_TRUE(got.report.low_rank) << "delta " << deltas[s];
     errors[s] = max_abs_diff(got.posterior().x, want.posterior().x);
   }
@@ -201,8 +204,8 @@ TEST(IncrementalLowRank, ChainedNudgesStayCloseToExactTwin) {
     exact.set_observations(values);
     fast.set_observations(values);
 
-    const Result want = exact.solve_incremental(cp.initial);
-    const Result got = fast.solve_lowrank(cp.initial);
+    const Result want = exact.solve(cp.initial, kIncremental);
+    const Result got = fast.solve(cp.initial, kLowRank);
     ASSERT_TRUE(got.report.low_rank) << "round " << round;
 
     // Chained low-rank updates drift by at most a modest fraction of the
@@ -224,7 +227,7 @@ TEST(IncrementalLowRank, FallsBackWhenNothingIsPending) {
 
   // No set_observations since the last solve: nothing to retract, so the
   // call degrades to the (here trivially empty) exact incremental run.
-  const Result got = plan.solve_lowrank(cp.initial);
+  const Result got = plan.solve(cp.initial, kLowRank);
   EXPECT_FALSE(got.report.low_rank);
   EXPECT_TRUE(got.report.incremental);
   EXPECT_EQ(got.report.nodes_recomputed, 0);
@@ -239,9 +242,9 @@ TEST(IncrementalLowRank, FirstSolveFallsBackThenFastPathEngages) {
   exact.set_observations(values);
   fast.set_observations(values);
 
-  // No checkpoint yet: solve_lowrank must produce the exact full answer.
+  // No checkpoint yet: a low-rank solve must produce the exact full answer.
   const Result want = exact.solve(cp.initial);
-  const Result got = fast.solve_lowrank(cp.initial);
+  const Result got = fast.solve(cp.initial, kLowRank);
   EXPECT_FALSE(got.report.low_rank);
   EXPECT_FALSE(got.report.incremental);
   expect_bitwise_equal(got, want, "first-solve fallback");
@@ -250,7 +253,7 @@ TEST(IncrementalLowRank, FirstSolveFallsBackThenFastPathEngages) {
   // fast path engages on the next nudge.
   values[5] += 1e-3;
   fast.set_observations(values);
-  const Result second = fast.solve_lowrank(cp.initial);
+  const Result second = fast.solve(cp.initial, kLowRank);
   EXPECT_TRUE(second.report.low_rank);
 }
 
@@ -271,8 +274,8 @@ TEST(IncrementalLowRank, ChangedInitialStateFallsBackToExact) {
   linalg::Vector moved = cp.initial;
   moved[0] += 0.05;  // retraction baseline no longer matches: must refuse
 
-  const Result want = exact.solve_incremental(moved);
-  const Result got = fast.solve_lowrank(moved);
+  const Result want = exact.solve(moved, kIncremental);
+  const Result got = fast.solve(moved, kLowRank);
   EXPECT_FALSE(got.report.low_rank);
   expect_bitwise_equal(got, want, "changed-initial fallback");
 }
@@ -294,7 +297,7 @@ TEST(IncrementalLowRank, MultiCyclePlansAlwaysFallBack) {
   exact.set_observations(values);
   fast.set_observations(values);
   const Result want = exact.solve(cp.initial);
-  const Result got = fast.solve_lowrank(cp.initial);
+  const Result got = fast.solve(cp.initial, kLowRank);
   EXPECT_FALSE(got.report.low_rank);
   expect_bitwise_equal(got, want, "multi-cycle fallback");
 }
@@ -316,8 +319,8 @@ TEST(IncrementalLowRank, ManyChangedSlotsOverflowToExactPath) {
   exact.set_observations(values);
   fast.set_observations(values);
 
-  const Result want = exact.solve_incremental(cp.initial);
-  const Result got = fast.solve_lowrank(cp.initial);
+  const Result want = exact.solve(cp.initial, kIncremental);
+  const Result got = fast.solve(cp.initial, kLowRank);
   EXPECT_FALSE(got.report.low_rank);
   expect_bitwise_equal(got, want, "overflow fallback");
 }
@@ -340,14 +343,14 @@ TEST(IncrementalLowRank, ExactSolveAfterLowRankRestoresBitwiseBaseline) {
   values[11] += 1e-3;
   exact.set_observations(values);
   fast.set_observations(values);
-  const Result want = exact.solve_incremental(cp.initial);
-  const Result approx = fast.solve_lowrank(cp.initial);
+  const Result want = exact.solve(cp.initial, kIncremental);
+  const Result approx = fast.solve(cp.initial, kLowRank);
   ASSERT_TRUE(approx.report.low_rank);
 
   // Same plan, same bound values: the exact incremental run drains the
   // accumulated dirty set (changed node + root) and must agree bitwise
   // with the twin that never took the shortcut.
-  const Result restored = fast.solve_incremental(cp.initial);
+  const Result restored = fast.solve(cp.initial, kIncremental);
   EXPECT_FALSE(restored.report.low_rank);
   EXPECT_TRUE(restored.report.incremental);
   EXPECT_GT(restored.report.nodes_recomputed, 0);

@@ -1,7 +1,7 @@
 // Differential property harness for the incremental dirty-subtree re-solve
 // (DESIGN.md §11).  The contract under test: for ANY problem, ANY sequence
 // of observation rebinds (empty, single-constraint, random subsets, all)
-// and initial-state perturbations, solve_incremental() is bitwise identical
+// and initial-state perturbations, an incremental solve is bitwise identical
 // — posterior x, posterior C, and the aggregated SolveReport — to a
 // from-scratch solve of the same values, on all three executors.  Seeded
 // random molecules and dirty sets sweep the space; a fresh compile-and-
@@ -20,6 +20,8 @@
 
 namespace phmse::engine {
 namespace {
+
+constexpr RunOptions kIncremental{.mode = RunMode::kIncremental};
 
 // A random chain molecule: atoms jittered around a line, anchored by
 // position constraints on the first atom, plus random pair distances (any
@@ -162,9 +164,9 @@ TEST(IncrementalProperty, RandomDirtySetsMatchFromScratchOnAllExecutors) {
       }
 
       const Result want = ref.solve(x0);
-      const Result got_serial = inc_serial.solve_incremental(x0);
-      const Result got_threaded = inc_threaded.solve_incremental(pool, x0);
-      const Result got_sim = inc_sim.solve_incremental(machine, x0);
+      const Result got_serial = inc_serial.solve(x0, kIncremental);
+      const Result got_threaded = inc_threaded.solve(pool, x0, kIncremental);
+      const Result got_sim = inc_sim.solve(machine, x0, kIncremental);
 
       const std::string tag =
           "seed " + std::to_string(seed) + " round " + std::to_string(round);
@@ -202,7 +204,7 @@ TEST(IncrementalProperty, RandomDirtySetsMatchFromScratchOnAllExecutors) {
     const Result fresh_result = fresh.solve(x0);
     Plan warm = Engine::compile(rp.problem(), options(1));
     warm.set_observations(values);
-    const Result warm_inc = warm.solve_incremental(x0);  // no checkpoint yet
+    const Result warm_inc = warm.solve(x0, kIncremental);  // no checkpoint yet
     EXPECT_FALSE(warm_inc.report.incremental);
     expect_same_posterior(warm_inc, fresh_result,
                           "seed " + std::to_string(seed) + " fresh anchor");
@@ -210,7 +212,7 @@ TEST(IncrementalProperty, RandomDirtySetsMatchFromScratchOnAllExecutors) {
 }
 
 // Multi-cycle plans cannot form checkpoints (the persisted states are not
-// functions of a caller-visible initial state), so solve_incremental must
+// functions of a caller-visible initial state), so an incremental solve must
 // permanently degrade to full runs — and still match solve() bitwise.
 TEST(IncrementalProperty, MultiCyclePlansAlwaysFallBackToFullRuns) {
   RandomProblem rp(7);
@@ -227,7 +229,7 @@ TEST(IncrementalProperty, MultiCyclePlansAlwaysFallBackToFullRuns) {
     ref.set_observations(values);
     inc.set_observations(values);
     const Result want = ref.solve(rp.initial);
-    const Result got = inc.solve_incremental(rp.initial);
+    const Result got = inc.solve(rp.initial, kIncremental);
     EXPECT_FALSE(got.report.incremental) << "round " << round;
     EXPECT_FALSE(inc.has_checkpoint()) << "round " << round;
     EXPECT_EQ(got.report.nodes_recomputed, num_nodes * got.cycles)
@@ -259,7 +261,7 @@ TEST(IncrementalProperty, CheckpointsTransferAcrossExecutors) {
   ref.set_observations(values);
   inc.set_observations(values);
   const Result want = ref.solve(rp.initial);
-  const Result got_sim = inc.solve_incremental(machine, rp.initial);
+  const Result got_sim = inc.solve(machine, rp.initial, kIncremental);
   EXPECT_TRUE(got_sim.report.incremental);
   expect_same_posterior(got_sim, want, "threaded checkpoint, sim re-solve");
 
@@ -267,7 +269,7 @@ TEST(IncrementalProperty, CheckpointsTransferAcrossExecutors) {
   ref.set_observations(values);
   inc.set_observations(values);
   const Result want2 = ref.solve(rp.initial);
-  const Result got_serial = inc.solve_incremental(rp.initial);
+  const Result got_serial = inc.solve(rp.initial, kIncremental);
   EXPECT_TRUE(got_serial.report.incremental);
   expect_same_posterior(got_serial, want2, "sim checkpoint, serial re-solve");
 }

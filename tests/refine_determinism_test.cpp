@@ -21,6 +21,9 @@
 namespace phmse::refine {
 namespace {
 
+constexpr engine::RunOptions kIncremental{
+    .mode = engine::RunMode::kIncremental};
+
 constexpr int kProcessors = 3;
 
 struct HelixCase {
@@ -183,7 +186,7 @@ TEST(RefineDeterminism, PostRefineExactSolveMatchesFromScratch) {
 
   // And the checkpoint the post-refine solve established is trustworthy:
   // an incremental re-solve from it matches a from-scratch re-solve.
-  const engine::Result inc = refined.solve_incremental(x0);
+  const engine::Result inc = refined.solve(x0, kIncremental);
   const engine::Result want2 = scratch.solve(x0);
   ASSERT_EQ(inc.posterior().x.size(), want2.posterior().x.size());
   for (std::size_t i = 0; i < want2.posterior().x.size(); ++i) {

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "constraints/helix_gen.hpp"
+#include "engine/engine.hpp"
 #include "estimation/residuals.hpp"
-#include "estimation/solver.hpp"
 #include "molecule/rna_helix.hpp"
 #include "support/rng.hpp"
 
@@ -94,14 +94,15 @@ TEST(Residuals, ChiSquareNearOneAfterConsistentSolve) {
   Rng rng(3);
   NodeState st = make_initial_state(model.topology, 0, model.num_atoms(),
                                     0.5, 0.3, rng);
-  par::SerialContext ctx;
-  SolveOptions opts;
-  opts.max_cycles = 10;
-  opts.prior_sigma = 0.5;
-  solve_flat(ctx, st, set, opts);
+  engine::CompileOptions copts;
+  copts.solve.max_cycles = 10;
+  copts.solve.prior_sigma = 0.5;
+  engine::Plan plan = engine::Engine::compile(
+      engine::Problem::flat(model.num_atoms(), set), copts);
+  const NodeState& post = plan.solve(st.x).posterior();
 
   const ResidualStats stats =
-      overall_stats(residual_records(st, set), set);
+      overall_stats(residual_records(post, set), set);
   EXPECT_GT(stats.mean_chi2, 0.05);
   EXPECT_LT(stats.mean_chi2, 20.0);
 }
