@@ -3,7 +3,8 @@
 // Times every gemm-panel kernel under each registered backend — `simd`
 // (explicit vector microkernels), `blocked` (portable register-tiled) and
 // `ref` (frozen scalar oracle) — over the hot shapes of the Fig.-1 update
-// and the Fig.-3 combination, then writes the machine-readable
+// (including the ribo30s root, m = 16 and n = 2697) and the Fig.-3
+// combination, then writes the machine-readable
 // BENCH_kernels.json consumed by scripts/bench_check.py.  Each row calls
 // through the named backend's dispatch table, so the measurements are
 // pinned regardless of PHMSE_BACKEND or what default dispatch resolves to.
@@ -120,33 +121,55 @@ int run_all(const std::string& out_path) {
   Rng rng(static_cast<std::uint64_t>(env_long("PHMSE_BENCH_SEED", 1234)));
   Harness h;
 
+  // The lower-triangle downdate C -= W^T W (j <= i) at one shape, for every
+  // backend and thread count.  It does m n (n+1) flops and moves the
+  // triangle of C twice plus W once.  The downdate accumulates, so the timed
+  // body can run on the same matrix repeatedly without a reset — the
+  // reset's memory traffic would otherwise dominate the measurement at
+  // large n.
+  auto downdate_rows = [&](const Matrix& w, const Matrix& c0) {
+    const double nd = static_cast<double>(w.cols());
+    const double md = static_cast<double>(w.rows());
+    const double flops = md * nd * (nd + 1.0);
+    const double bytes = 8.0 * (nd * (nd + 1.0) + md * nd);
+    Matrix c;
+    for (const int t : thread_counts) {
+      for (const Backend* b : impls) {
+        c = c0;
+        h.run("covariance_downdate", b->name, w.rows(), w.cols(), t, flops,
+              bytes, [&](par::ExecContext& ctx) {
+                b->covariance_downdate(ctx, w, c);
+              });
+      }
+    }
+  };
+
   for (const Index n : dims) {
-    const Matrix v = random_matrix(m, n, rng);
-    const Matrix g = random_matrix(m, n, rng);
-    Matrix c0 = random_spd(n, rng);
+    const Matrix w = random_matrix(m, n, rng);
+    const Matrix c0 = random_spd(n, rng);
+    downdate_rows(w, c0);
     const double flops = 2.0 * static_cast<double>(m) *
                          static_cast<double>(n) * static_cast<double>(n);
     const double bytes =
         8.0 * (2.0 * static_cast<double>(n) * static_cast<double>(n) +
                static_cast<double>(m) * static_cast<double>(n));
-    // The downdate accumulates (C -= V^T G), so the timed body can run on
-    // the same matrix repeatedly without a reset — the reset's memory
-    // traffic would otherwise dominate the measurement at large n.
-    Matrix c = c0;
     for (const int t : thread_counts) {
-      for (const Backend* b : impls) {
-        c = c0;
-        h.run("covariance_downdate", b->name, m, n, t, flops, bytes,
-              [&](par::ExecContext& ctx) {
-                b->covariance_downdate(ctx, v, g, c);
-              });
-      }
       Matrix out;
       for (const Backend* b : impls) {
         h.run("gram", b->name, m, n, t, flops, bytes,
-              [&](par::ExecContext& ctx) { b->gram(ctx, v, out); });
+              [&](par::ExecContext& ctx) { b->gram(ctx, w, out); });
       }
     }
+  }
+
+  // The real shape: the ribo30s root (n = 2697), where the downdate takes
+  // most of a serial solve.
+  if (!smoke) {
+    const Index n = 2697;
+    const Matrix w = random_matrix(m, n, rng);
+    Matrix c0(n, n);
+    for (Index i = 0; i < n; ++i) c0(i, i) = 1.0;
+    downdate_rows(w, c0);
   }
 
   for (const Index sz : trsm_sizes) {

@@ -146,7 +146,7 @@ DynamicSimResult solve_hierarchical_dynamic_sim(
           state = std::move(assembled);
         }
         updater.apply_all(ctx, state, node->constraints, options.batch_size,
-                          options.symmetrize_every, options.policy);
+                          options.policy);
         states.emplace(node, std::move(state));
       }
       // Periodic global synchronization between waves.

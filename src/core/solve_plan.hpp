@@ -61,8 +61,6 @@ struct HierSolveOptions {
   /// their linearization region); ~1 Angstrom works well for molecular
   /// data.
   double prior_sigma = 1.0;
-  /// Symmetrize C every this many batches (0 = never).
-  Index symmetrize_every = 64;
   /// Degradation policy for numerically failing batches (DESIGN.md §9).
   /// The default (abort) throws on the first failure, exactly as solves
   /// always have.
@@ -248,6 +246,12 @@ class SolvePlan {
   std::size_t num_dirty_nodes() const;
 
   std::size_t num_nodes() const { return nodes_.size(); }
+
+  /// The state of node `i` (post-order; the root is num_nodes() - 1) as the
+  /// most recent run left it.
+  const est::NodeState& node_state(std::size_t i) const {
+    return nodes_.at(i).state;
+  }
 
   /// Re-derives the inline/remote child partition from the hierarchy's
   /// current proc_first/proc_count values.  Checkpoints stay valid: the

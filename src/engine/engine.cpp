@@ -49,6 +49,7 @@ core::WorkModel calibrate_work_model(core::Hierarchy& hierarchy,
   if (m_full >= 4) batch_dims.push_back(m_full / 2);
 
   constexpr double kMinSeconds = 0.004;  // per (n, m) measurement
+  constexpr Index kSweepBatches = 8;     // batches per timed sweep
   std::vector<core::WorkSample> samples;
   par::SerialContext ctx;
   for (Index n : dims) {
@@ -63,29 +64,37 @@ core::WorkModel calibrate_work_model(core::Hierarchy& hierarchy,
     state.reset_covariance(solve.prior_sigma);
 
     for (Index m : batch_dims) {
-      std::vector<cons::Constraint> batch(static_cast<std::size_t>(m));
-      for (Index j = 0; j < m; ++j) {
-        cons::Constraint& c = batch[static_cast<std::size_t>(j)];
-        c.kind = cons::Kind::kDistance;
-        const Index a = j % (atoms - 1);
-        c.atoms = {a, a + 1, 0, 0};
-        c.observed = 1.5;
-        c.variance = 0.01;
+      // One batch of m distance constraints, repeated kSweepBatches times:
+      // timed as a sweep, the way a solve runs it (lower-triangle downdates
+      // plus one upper-triangle mirror per sweep), not as standalone
+      // applies that each pay the full mirror.
+      cons::ConstraintSet sweep;
+      for (Index rep = 0; rep < kSweepBatches; ++rep) {
+        for (Index j = 0; j < m; ++j) {
+          cons::Constraint c;
+          c.kind = cons::Kind::kDistance;
+          const Index a = j % (atoms - 1);
+          c.atoms = {a, a + 1, 0, 0};
+          c.observed = 1.5;
+          c.variance = 0.01;
+          sweep.add(c);
+        }
       }
       est::BatchUpdater updater;
       // Calibrate against the backend the compiled plan will dispatch
       // through, not whatever the process default happens to be.
       updater.set_backend(
           &linalg::resolve_backend(solve.backend, "HierSolveOptions.backend"));
-      updater.apply(ctx, state, batch);  // warm the scratch buffers
+      updater.apply_all(ctx, state, sweep, m);  // warm the scratch buffers
       Stopwatch sw;
       int reps = 0;
       do {
-        updater.apply(ctx, state, batch);
+        updater.apply_all(ctx, state, sweep, m);
         ++reps;
       } while (sw.seconds() < kMinSeconds);
-      const double per = sw.seconds() /
-                         (static_cast<double>(reps) * static_cast<double>(m));
+      const double per =
+          sw.seconds() / (static_cast<double>(reps) *
+                          static_cast<double>(sweep.size()));
       samples.push_back({static_cast<double>(n), static_cast<double>(m), per});
       state.reset_covariance(solve.prior_sigma);
     }

@@ -15,6 +15,19 @@ namespace phmse::est {
 using cons::Constraint;
 using linalg::CsrBuilder;
 
+namespace {
+
+// Runs `fn` when the scope ends, normally or by a throw.
+template <class Fn>
+struct ScopeExit {
+  Fn fn;
+  ~ScopeExit() { fn(); }
+};
+template <class Fn>
+ScopeExit(Fn) -> ScopeExit<Fn>;
+
+}  // namespace
+
 void BatchUpdater::linearize(par::ExecContext& ctx, const NodeState& state,
                              std::span<const cons::Constraint> batch) {
   const Index m = static_cast<Index>(batch.size());
@@ -94,6 +107,21 @@ BatchOutcome BatchUpdater::apply(par::ExecContext& ctx, NodeState& state,
                                  std::span<const cons::Constraint> batch,
                                  const SolvePolicy& policy,
                                  Index batch_index) {
+  const ScopeExit restore{[&] { finish_sweep_(ctx, state); }};
+  return apply_batch_(ctx, state, batch, policy, batch_index);
+}
+
+void BatchUpdater::finish_sweep_(par::ExecContext& ctx, NodeState& state) {
+  if (!upper_stale_) return;
+  linalg::mirror_lower(ctx, state.c);
+  upper_stale_ = false;
+}
+
+BatchOutcome BatchUpdater::apply_batch_(par::ExecContext& ctx,
+                                        NodeState& state,
+                                        std::span<const cons::Constraint> batch,
+                                        const SolvePolicy& policy,
+                                        Index batch_index) {
   BatchOutcome out;
   if (batch.empty()) return out;
   const Index n = state.dim();
@@ -124,6 +152,21 @@ BatchOutcome BatchUpdater::apply(par::ExecContext& ctx, NodeState& state,
   const linalg::Backend& be =
       backend_ != nullptr ? *backend_ : linalg::default_backend();
 
+  if (upper_stale_) {
+    // G = H C reads exactly the rows of C at H's columns: bring their upper
+    // parts up to date from the current lower triangle.  The symmetric C
+    // these entries represent does not change, so a batch rejected below
+    // still leaves the state's value intact.
+    touched_.clear();
+    for (Index r = 0; r < m; ++r) {
+      const std::span<const Index> cols = h_.row_indices(r);
+      touched_.insert(touched_.end(), cols.begin(), cols.end());
+    }
+    std::sort(touched_.begin(), touched_.end());
+    touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                   touched_.end());
+    linalg::mirror_rows(ctx, state.c, touched_);            //           vec
+  }
   be.sparse_dense(ctx, h_, state.c, g_);                  // G = H C       d-s
 
   // Factor S = L L^T under the policy's retry ladder.  The first attempt
@@ -200,7 +243,8 @@ BatchOutcome BatchUpdater::apply(par::ExecContext& ctx, NodeState& state,
   dx_.assign(static_cast<std::size_t>(n), 0.0);
   be.gain_times_residual(ctx, g_, w_, dx_);          // dx = W^T w        m-v
   linalg::vec_add_inplace(ctx, dx_, state.x);        // x += dx           vec
-  be.covariance_downdate(ctx, g_, g_, state.c);      // C -= W^T W        m-v
+  upper_stale_ = true;
+  be.covariance_downdate(ctx, g_, state.c);          // C -= W^T W (lower) m-v
   return out;
 }
 
@@ -240,6 +284,7 @@ void BatchUpdater::reserve(Index max_m, Index n) {
   residual_.reserve(m);
   rdiag_.reserve(m);
   w_.reserve(m);
+  touched_.reserve(m * static_cast<std::size_t>(kMaxRowNnz));
   dx_.reserve(static_cast<std::size_t>(n));
   g_.resize(max_m, n);
   s_.resize(max_m, max_m);
@@ -249,8 +294,7 @@ void BatchUpdater::reserve(Index max_m, Index n) {
 
 void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
                              const cons::ConstraintSet& set, Index batch_size,
-                             Index symmetrize_every, const SolvePolicy& policy,
-                             NodeReport* report) {
+                             const SolvePolicy& policy, NodeReport* report) {
   PHMSE_CHECK(batch_size >= 1, "batch size must be >= 1");
   const auto& all = set.all();
   // (Re)size the applied-Jacobian archive for this set; the sizes are
@@ -262,6 +306,9 @@ void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
   arch_vals_.resize(slots);
   arch_len_.assign(static_cast<std::size_t>(set.size()), -1);
   Index applied_batches = 0;
+  // The sweep keeps only C's lower triangle current; the upper one is
+  // restored once, here on the way out (also on a cancel or abort throw).
+  const ScopeExit restore{[&] { finish_sweep_(ctx, state); }};
   for (Index start = 0; start < set.size(); start += batch_size) {
     // Batch-boundary cancellation poll (DESIGN.md §13): between batches the
     // state holds only complete per-batch commits (apply is transactional),
@@ -272,16 +319,13 @@ void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
     }
     const Index len = std::min(batch_size, set.size() - start);
     const BatchOutcome out =
-        apply(ctx, state,
-              std::span<const cons::Constraint>(all.data() + start,
-                                                static_cast<std::size_t>(len)),
-              policy, applied_batches);
+        apply_batch_(ctx, state,
+                     std::span<const cons::Constraint>(
+                         all.data() + start, static_cast<std::size_t>(len)),
+                     policy, applied_batches);
     archive_batch_(start, len, out.applied());
     if (report != nullptr) report->record(applied_batches, out);
     ++applied_batches;
-    if (symmetrize_every > 0 && applied_batches % symmetrize_every == 0) {
-      linalg::symmetrize(ctx, state.c);
-    }
   }
 }
 

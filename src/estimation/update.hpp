@@ -6,15 +6,23 @@
 //   G  = H C-                               (d-s;  G^T = C- H^T)
 //   S  = G H^T + R                          (m-m;  innovation covariance)
 //   S  = L L^T                              (chol)
-//   V  = L^{-T} L^{-1} G                    (sys;  V = K^T, the gain)
-//   x+ = x- + V^T (z - h(x-))               (m-v / vec)
-//   C+ = C- - V^T G                         (m-v;  see kernels.hpp)
+//   w  = L^{-1} (z - h(x-))                 (sys;  whitened residual)
+//   W  = L^{-1} G                           (sys;  gain K = W^T L^{-1})
+//   x+ = x- + W^T w                         (m-v / vec)
+//   C+ = C- - W^T W                         (m-v;  see kernels.hpp)
+//
+// The covariance update is symmetric, so during a node's sweep only C's
+// lower triangle is kept current: before each batch the rows G = H C reads
+// are mirrored (mirror_rows), and the whole upper triangle is restored once
+// when the sweep ends (mirror_lower).  Outside a sweep C is always
+// symmetric.
 //
 // BatchUpdater owns the scratch buffers so repeated application over
 // thousands of batches does not allocate.
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "constraints/set.hpp"
 #include "estimation/policy.hpp"
@@ -49,9 +57,10 @@ class BatchUpdater {
   void set_variance_scale(double scale);
   double variance_scale() const { return variance_scale_; }
 
-  /// Applies one batch of scalar constraints to `state`.  All constraint
-  /// atoms must lie inside the state's atom range.  Execution (serial,
-  /// threaded, or simulated) is directed by `ctx`.
+  /// Applies one batch of scalar constraints to `state` — a one-batch
+  /// sweep: C must be symmetric on entry and is symmetric on return.  All
+  /// constraint atoms must lie inside the state's atom range.  Execution
+  /// (serial, threaded, or simulated) is directed by `ctx`.
   ///
   /// Transactional (DESIGN.md §9): every fallible step — input validation,
   /// the S = L L^T factorization and its retry ladder, the innovation gate
@@ -66,14 +75,14 @@ class BatchUpdater {
                      const SolvePolicy& policy = {}, Index batch_index = -1);
 
   /// Applies an entire set in consecutive batches of `batch_size` (the last
-  /// batch may be smaller).  Symmetrizes the covariance every
-  /// `symmetrize_every` batches (0 disables) to contain round-off drift.
-  /// Failed batches are handled per `policy`; when `report` is non-null
-  /// every batch outcome is tallied into it (non-ok outcomes individually).
+  /// batch may be smaller): one sweep.  C must be symmetric on entry; it is
+  /// symmetric again on return, also when a batch or a cancel throws (the
+  /// upper triangle is restored on the way out).  Failed batches are
+  /// handled per `policy`; when `report` is non-null every batch outcome is
+  /// tallied into it (non-ok outcomes individually).
   void apply_all(par::ExecContext& ctx, NodeState& state,
                  const cons::ConstraintSet& set, Index batch_size,
-                 Index symmetrize_every = 64, const SolvePolicy& policy = {},
-                 NodeReport* report = nullptr);
+                 const SolvePolicy& policy = {}, NodeReport* report = nullptr);
 
   /// Upper bound on one scalar constraint's Jacobian-row nonzeros (4 atoms
   /// x 3 coordinates; the widest kind is a torsion).
@@ -99,6 +108,16 @@ class BatchUpdater {
   void reserve(Index max_m, Index n);
 
  private:
+  /// One batch of a sweep (the body of apply): mirrors the rows of C that
+  /// G = H C reads when the upper triangle is stale, and leaves it stale
+  /// after a downdate.  The caller restores it with finish_sweep_.
+  BatchOutcome apply_batch_(par::ExecContext& ctx, NodeState& state,
+                            std::span<const cons::Constraint> batch,
+                            const SolvePolicy& policy, Index batch_index);
+
+  /// Restores C's upper triangle after a sweep that downdated it.
+  void finish_sweep_(par::ExecContext& ctx, NodeState& state);
+
   /// Evaluates the batch at the current state: fills residual_, rdiag_ and
   /// the Jacobian, and records whether every position read was finite.
   /// Charged to the `other` category (the paper's O(m) constraint-function
@@ -126,7 +145,11 @@ class BatchUpdater {
   linalg::Vector rdiag_;    // noise variances  (m)
   linalg::Vector dx_;       // state correction (n)
   linalg::Vector w_;        // whitened residual L^-1 r (m)
+  std::vector<Index> touched_;  // ascending columns of h_ (rows G reads)
   bool positions_finite_ = true;  // set by linearize
+  /// True from a sweep's first downdate until finish_sweep_: C's upper
+  /// triangle is stale outside the rows mirrored since.
+  bool upper_stale_ = false;
 
   /// Applied-Jacobian archive (see applied_row): fixed kMaxRowNnz-stride
   /// (cols, vals) slots per constraint of the last apply_all set, plus a

@@ -60,8 +60,8 @@ struct Backend {
   void (*trsm_lower_transposed)(par::ExecContext&, const Matrix&, Matrix&);
   void (*gain_times_residual)(par::ExecContext&, const Matrix&, const Vector&,
                               Vector&);
-  void (*covariance_downdate)(par::ExecContext&, const Matrix&, const Matrix&,
-                              Matrix&);
+  /// Lower triangle only (see linalg::covariance_downdate).
+  void (*covariance_downdate)(par::ExecContext&, const Matrix&, Matrix&);
   void (*gram)(par::ExecContext&, const Matrix&, Matrix&);
   CholeskyResult (*cholesky_factor)(par::ExecContext&, Matrix&,
                                     Index block_size);

@@ -1,5 +1,6 @@
 // Shared drivers for the panel-blocked kernels (trsm, Cholesky,
-// covariance downdate, Gram), parameterized over the GEMM panel primitives.
+// lower-triangle covariance downdate, Gram), parameterized over the GEMM
+// panel primitives.
 //
 // The blocked and simd backends run the *same* blocking structure — row
 // tiles, L1 column strips, kTrsmBlock diagonal blocks — and differ only in
@@ -31,6 +32,7 @@
 #include "linalg/matrix.hpp"
 #include "linalg/status.hpp"
 #include "parallel/exec.hpp"
+#include "parallel/partition.hpp"
 #include "support/check.hpp"
 
 namespace phmse::linalg::detail {
@@ -117,28 +119,60 @@ void trsm_impl(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
   ctx.parallel(perf::Category::kSystemSolve, k, cost, body);
 }
 
-// C -= V^T G as a rank-m panel update over C's rows (category m-v).
+// Row tile of the lower-triangle covariance downdate.  Tile t covers rows
+// [i0, i1) = [t*R, (t+1)*R) and updates the rectangle [i0, i1) x [0, i1):
+// the triangle plus a few entries above the diagonal (R/2 per row on
+// average), which the caller's mirror overwrites anyway.  Small enough that
+// pairing tiles balances lanes at P = 2..4 (see covariance_downdate_impl),
+// large enough that each tile reuses the resident W strip across several
+// microkernel row tiles.
+inline constexpr Index kDowndateRowTile = 16;
+
+inline Index downdate_tiles(Index n) {
+  return (n + kDowndateRowTile - 1) / kDowndateRowTile;
+}
+
+// Calls fn(i0, i1) for every row tile of the paired units [begin, end):
+// unit u is tile u with tile T-1-u, so every unit covers about T+1
+// tile-columns of the triangle.
+template <class Fn>
+void for_each_downdate_tile(Index begin, Index end, Index n, Fn&& fn) {
+  par::for_each_paired(begin, end, downdate_tiles(n), [&](Index t) {
+    const Index i0 = t * kDowndateRowTile;
+    fn(i0, std::min(i0 + kDowndateRowTile, n));
+  });
+}
+
+// Lower triangle of C -= W^T W as rank-m panel updates over paired row
+// tiles (category m-v).  Entries strictly above the diagonal are left
+// stale except inside the diagonal tiles; mirror_rows / mirror_lower
+// restore them.  Each entry is the same ascending-k fma chain as the full
+// product, and C(i,j), C(j,i) have identical products, so the mirrored
+// result is bitwise the full product of a symmetric C.
 template <class Panels>
-void covariance_downdate_impl(par::ExecContext& ctx, const Matrix& v,
-                              const Matrix& g, Matrix& c) {
-  PHMSE_CHECK(v.rows() == g.rows() && v.cols() == g.cols(),
-              "covariance_downdate: V/G shape mismatch");
-  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == v.cols(),
+void covariance_downdate_impl(par::ExecContext& ctx, const Matrix& w,
+                              Matrix& c) {
+  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == w.cols(),
               "covariance_downdate: C shape mismatch");
-  const Index m = v.rows();
+  const Index m = w.rows();
   const Index n = c.rows();
 
   auto cost = [&](Index begin, Index end) {
     par::KernelStats st;
-    const double rows = static_cast<double>(end - begin);
-    st.flops = 2.0 * rows * static_cast<double>(m) * static_cast<double>(n);
-    // C rows read+written once; G's compulsory traffic charged once.
+    double entries = 0.0;
+    double rows = 0.0;
+    for_each_downdate_tile(begin, end, n, [&](Index i0, Index i1) {
+      entries += static_cast<double>(i1 - i0) * static_cast<double>(i1);
+      rows += static_cast<double>(i1 - i0);
+    });
+    st.flops = 2.0 * static_cast<double>(m) * entries;
+    // The triangle's C entries read+written once; W's compulsory traffic
+    // charged once.
     st.bytes_stream =
-        kBytesPerDouble * (2.0 * rows * static_cast<double>(n) +
+        kBytesPerDouble * (2.0 * entries +
                            static_cast<double>(m) * static_cast<double>(n));
-    // The blocked GEMM keeps an m x kGemmColStrip panel of G resident and
-    // re-sweeps it once per register row tile (it was the full m x n block
-    // once per covariance row before blocking); machines with a finite
+    // The blocked GEMM keeps an m x kGemmColStrip panel of W resident and
+    // re-sweeps it once per register row tile; machines with a finite
     // modeled cache penalize overflow.
     st.resident_bytes =
         kBytesPerDouble * static_cast<double>(m) *
@@ -147,13 +181,16 @@ void covariance_downdate_impl(par::ExecContext& ctx, const Matrix& v,
     return st;
   };
   auto body = [&](Index begin, Index end, int /*lane*/) {
-    if (end <= begin || m <= 0) return;
-    // C[begin..end) -= (V^T G)[begin..end): a rank-m panel update;
-    // coefficients are the columns of V.
-    Panels::tn_acc(-1.0, v.data() + begin, n, g.data(), n,
-                   c.row(begin).data(), n, end - begin, m, n);
+    if (m <= 0) return;
+    // C[i0..i1, 0..i1) -= (W^T W)[i0..i1, 0..i1); coefficients are the
+    // columns of W.
+    for_each_downdate_tile(begin, end, n, [&](Index i0, Index i1) {
+      Panels::tn_acc(-1.0, w.data() + i0, n, w.data(), n, c.row(i0).data(),
+                     n, i1 - i0, m, i1);
+    });
   };
-  ctx.parallel(perf::Category::kMatVec, n, cost, body);
+  ctx.parallel(perf::Category::kMatVec, par::paired_units(downdate_tiles(n)),
+               cost, body);
 }
 
 // out = W^T W with the zero-init folded into the first reduction tile.
@@ -172,7 +209,7 @@ void gram_impl(par::ExecContext& ctx, const Matrix& w, Matrix& out) {
     st.bytes_stream =
         kBytesPerDouble * (2.0 * rows * static_cast<double>(n) +
                            static_cast<double>(m) * static_cast<double>(n));
-    // Same blocked-GEMM traffic pattern as covariance_downdate: an
+    // Same blocked-GEMM traffic pattern as the covariance downdate: an
     // m x kGemmColStrip panel of W resident, swept once per row tile.
     st.resident_bytes =
         kBytesPerDouble * static_cast<double>(m) *

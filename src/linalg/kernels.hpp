@@ -5,11 +5,11 @@
 //   d-s  : G = H * C            (sparse Jacobian times dense covariance)
 //   m-m  : S = G * H^T + R      (innovation covariance assembly)
 //   chol : factor S = L L^T     (see cholesky.hpp)
-//   sys  : solve L W = G, L^T V = W  => V = K^T  (filter gain)
-//   m-v  : dx = V^T r, and the covariance update C -= V^T G, which is
+//   sys  : solve L W = G                      (whitened gain, W = L^-1 H C)
+//   m-v  : dx = W^T w, and the covariance update C -= W^T W, which is
 //          mathematically n dense matrix-vector products C(:,l) -= K a_l —
 //          the dominant operation, reported by the paper under m-v
-//   vec  : residuals, scalings, copies
+//   vec  : residuals, scalings, copies, the covariance mirrors
 //
 // Every kernel takes an ExecContext so the same code runs serially, on a
 // real thread team, or on the simulated multiprocessor (src/simarch).
@@ -25,6 +25,8 @@
 // a worker lane) joins the team cleanly and rethrows on the calling lane,
 // leaving only the output arguments in a partially-written state.
 #pragma once
+
+#include <span>
 
 #include "linalg/csr.hpp"
 #include "linalg/matrix.hpp"
@@ -57,12 +59,36 @@ void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
                          const Vector& r, Vector& dx);
 
-/// C -= V^T * G with V, G: m x n and C: n x n.  This is the covariance
-/// measurement update C -= K (C H^T)^T.  Parallel over rows of C; each row
-/// update streams the m rows of G (which fit in cache for the batch sizes
-/// the paper recommends).  Category: m-v (see file comment).
+/// Lower triangle of C -= W^T * W, with W: m x n and C: n x n symmetric.
+/// This is the covariance measurement update C -= K (C H^T)^T with
+/// W = L^{-1} H C (update.hpp).
+///
+/// Triangle contract: only entries j <= i are guaranteed current on return.
+/// Entries above the diagonal are stale, except inside the diagonal row
+/// tiles, which are updated whole.  mirror_rows / mirror_lower bring the
+/// upper part back.  Each entry is one ascending-k fma chain, and C(i,j)
+/// and C(j,i) multiply the same two numbers, so the mirrored lower triangle
+/// of a bitwise-symmetric C is bitwise the full product.  Parallel over
+/// pairs of row tiles (t, T-1-t), so an even split gives every lane the same
+/// share of the triangle.  Category: m-v (see file comment).
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
+
+/// The full C -= V^T * G for a symmetric C: the lower-triangle downdate
+/// followed by mirror_lower.  Requires &v == &g (the update is symmetric).
+/// Kept only for the perfbench/layers.cpp kernel replay.
 void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
                          const Matrix& g, Matrix& c);
+
+/// Copies the lower-triangle entries into the upper part of the listed
+/// rows: C(r, j) = C(j, r) for every r in `rows` and j > r.  `rows` must be
+/// strictly ascending and inside [0, n).  Reads only rows below rows[0], one
+/// pass in row order.  Parallel over destination columns.  Category: vec.
+void mirror_rows(par::ExecContext& ctx, Matrix& c, std::span<const Index> rows);
+
+/// Copies the whole lower triangle onto the upper one (C(i, j) = C(j, i)
+/// for j > i) as a tiled transpose, parallel over paired row tiles.
+/// Category: vec.
+void mirror_lower(par::ExecContext& ctx, Matrix& c);
 
 /// out = W^T * W for W: m x n (out resized to n x n).  Used by the Fig.-3
 /// combination procedure to form information matrices.  Category: m-m.
@@ -80,9 +106,5 @@ void vec_sub(par::ExecContext& ctx, const Vector& a, const Vector& b,
 
 /// y += x element-wise.  Category: vec.
 void vec_add_inplace(par::ExecContext& ctx, const Vector& x, Vector& y);
-
-/// Enforces symmetry of square C by averaging mirror entries.  Parallel over
-/// rows.  Category: vec.
-void symmetrize(par::ExecContext& ctx, Matrix& c);
 
 }  // namespace phmse::linalg

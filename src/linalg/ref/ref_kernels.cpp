@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/blas.hpp"
+#include "parallel/partition.hpp"
 #include "support/check.hpp"
 
 namespace phmse::linalg::ref {
@@ -96,21 +97,24 @@ void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l,
   trsm_impl<true>(ctx, l, b);
 }
 
-void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
-                         const Matrix& g, Matrix& c) {
-  PHMSE_CHECK(v.rows() == g.rows() && v.cols() == g.cols(),
-              "covariance_downdate: V/G shape mismatch");
-  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == v.cols(),
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w,
+                         Matrix& c) {
+  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == w.cols(),
               "covariance_downdate: C shape mismatch");
-  const Index m = v.rows();
+  const Index m = w.rows();
   const Index n = c.rows();
-
+  // Unit u pairs row u with row n-1-u: every unit updates n+1 entries.
   auto cost = [&](Index begin, Index end) {
     KernelStats st;
-    const double rows = static_cast<double>(end - begin);
-    st.flops = 2.0 * rows * static_cast<double>(m) * static_cast<double>(n);
+    double entries = 0.0;
+    double rows = 0.0;
+    par::for_each_paired(begin, end, n, [&](Index i) {
+      entries += static_cast<double>(i + 1);
+      rows += 1.0;
+    });
+    st.flops = 2.0 * static_cast<double>(m) * entries;
     st.bytes_stream =
-        kBytes * (2.0 * rows * static_cast<double>(n) +
+        kBytes * (2.0 * entries +
                   static_cast<double>(m) * static_cast<double>(n));
     st.resident_bytes = kBytes * static_cast<double>(m) *
                         static_cast<double>(n);
@@ -118,15 +122,14 @@ void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
     return st;
   };
   auto body = [&](Index begin, Index end, int /*lane*/) {
-    for (Index i = begin; i < end; ++i) {
+    par::for_each_paired(begin, end, n, [&](Index i) {
       double* crow = c.row(i).data();
-      for (Index j = 0; j < m; ++j) {
-        const double vji = v(j, i);
-        axpy(-vji, g.row(j).data(), crow, n);
+      for (Index k = 0; k < m; ++k) {
+        axpy(-w(k, i), w.row(k).data(), crow, i + 1);
       }
-    }
+    });
   };
-  ctx.parallel(Category::kMatVec, n, cost, body);
+  ctx.parallel(Category::kMatVec, par::paired_units(n), cost, body);
 }
 
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out) {

@@ -30,9 +30,9 @@ void trsm_lower(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 /// In-place backward solve B <- L^{-T} B; scalar column-sweep reference.
 void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 
-/// C -= V^T * G; scalar row-axpy reference.
-void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
-                         const Matrix& g, Matrix& c);
+/// Lower triangle (j <= i) of C -= W^T * W; scalar row-axpy reference
+/// over paired rows (i, n-1-i).  Entries above the diagonal are untouched.
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
 
 /// out = W^T * W (out resized to n x n); scalar row-axpy reference.
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out);

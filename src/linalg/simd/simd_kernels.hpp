@@ -63,9 +63,9 @@ void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
                          const Vector& r, Vector& dx);
 
-/// C -= V^T * G as simd rank-m panel updates.  Category: m-v.
-void covariance_downdate(par::ExecContext& ctx, const Matrix& v,
-                         const Matrix& g, Matrix& c);
+/// Lower triangle of C -= W^T * W as simd rank-m panel updates over
+/// paired row tiles (detail::covariance_downdate_impl).  Category: m-v.
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
 
 /// out = W^T * W with simd panels and strip-wise zero-init.  Category: m-m.
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out);

@@ -32,4 +32,19 @@ Range even_chunk(Index n, int parts, int lane);
 std::vector<Range> split_weighted(const std::vector<double>& weight,
                                   int parts);
 
+/// Units of a paired iteration space over items [0, n): unit u covers item
+/// u and its mirror n-1-u (the middle item alone when n is odd).  When item
+/// i costs about i (rows of a triangle), every unit costs about the same,
+/// so even_chunk over the units balances lanes.
+inline Index paired_units(Index n) { return (n + 1) / 2; }
+
+/// Calls fn(item) for both items of every unit in [begin, end).
+template <class Fn>
+void for_each_paired(Index begin, Index end, Index n, Fn&& fn) {
+  for (Index u = begin; u < end; ++u) {
+    fn(u);
+    if (n - 1 - u != u) fn(n - 1 - u);
+  }
+}
+
 }  // namespace phmse::par

@@ -86,7 +86,7 @@ TEST_P(LinearEquivalence, HierarchicalEqualsFlatForLinearData) {
   flat.reset_covariance(1.5);
   par::SerialContext ctx2;
   est::BatchUpdater updater;
-  updater.apply_all(ctx2, flat, ordered, 4, 0);
+  updater.apply_all(ctx2, flat, ordered, 4);
 
   // With linear measurements the two computations are the same numbers.
   for (std::size_t i = 0; i < flat.x.size(); ++i) {
@@ -142,7 +142,7 @@ TEST(LinearEquivalenceCross, BoundarySpanningConstraintsMatchToo) {
   flat.reset_covariance(1.0);
   par::SerialContext ctx2;
   est::BatchUpdater updater;
-  updater.apply_all(ctx2, flat, ordered, 2, 0);
+  updater.apply_all(ctx2, flat, ordered, 2);
 
   for (std::size_t i = 0; i < flat.x.size(); ++i) {
     EXPECT_NEAR(hier.root_state().x[i], flat.x[i], 1e-10);
@@ -193,7 +193,7 @@ TEST(LinearEquivalence, NonlinearDataIsExactTooWhenOrderMatches) {
   flat.reset_covariance(0.5);
   par::SerialContext ctx2;
   est::BatchUpdater updater;
-  updater.apply_all(ctx2, flat, ordered, 4, 0);
+  updater.apply_all(ctx2, flat, ordered, 4);
 
   for (std::size_t i = 0; i < flat.x.size(); ++i) {
     EXPECT_NEAR(hier.root_state().x[i], flat.x[i], 1e-12);
@@ -245,7 +245,7 @@ TEST(LinearEquivalence, DifferentOrderDivergesForNonlinearData) {
   flat.reset_covariance(0.5);
   par::SerialContext ctx2;
   est::BatchUpdater updater;
-  updater.apply_all(ctx2, flat, reversed, 4, 0);
+  updater.apply_all(ctx2, flat, reversed, 4);
 
   double max_diff = 0.0;
   for (std::size_t i = 0; i < flat.x.size(); ++i) {

@@ -159,13 +159,13 @@ TEST_P(KernelContexts, CovarianceDowndateMatchesReference) {
   Rng rng(15);
   const Index m = 8;
   const Index n = 18;
-  const Matrix v = random_matrix(m, n, rng);
-  const Matrix g = random_matrix(m, n, rng);
+  const Matrix w = random_matrix(m, n, rng);
   Matrix c = random_spd(n, rng);
   const Matrix before = c;
-  covariance_downdate(ctx(), v, g, c);
+  covariance_downdate(ctx(), w, c);
+  mirror_lower(ctx(), c);
   Matrix expected = before;
-  const Matrix vtg = matmul_tn(v, g);
+  const Matrix vtg = matmul_tn(w, w);
   for (Index i = 0; i < n; ++i) {
     for (Index j = 0; j < n; ++j) expected(i, j) -= vtg(i, j);
   }
@@ -211,12 +211,18 @@ TEST_P(KernelContexts, VecSubAndAdd) {
 }
 
 TEST_P(KernelContexts, SymmetrizeMakesSymmetric) {
+  // mirror_lower makes any square matrix symmetric by copying its lower
+  // triangle up; the lower triangle itself is untouched.
   Rng rng(17);
-  Matrix c = random_matrix(15, 15, rng);
-  symmetrize(ctx(), c);
-  for (Index i = 0; i < 15; ++i) {
-    for (Index j = 0; j < 15; ++j) {
-      EXPECT_DOUBLE_EQ(c(i, j), c(j, i));
+  for (const Index n : {15, 70}) {
+    Matrix c = random_matrix(n, n, rng);
+    const Matrix before = c;
+    mirror_lower(ctx(), c);
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j <= i; ++j) {
+        EXPECT_EQ(c(i, j), before(i, j));
+        EXPECT_EQ(c(j, i), before(i, j));
+      }
     }
   }
 }
@@ -244,18 +250,17 @@ TEST(KernelDeterminism, TeamMatchesSerialBitwise) {
 
 TEST(KernelDeterminism, SimMatchesSerialBitwise) {
   Rng rng(19);
-  const Matrix v = random_matrix(8, 25, rng);
-  const Matrix g = random_matrix(8, 25, rng);
+  const Matrix w = random_matrix(8, 25, rng);
 
   par::SerialContext serial;
   Matrix c1 = random_spd(25, rng);
   const Matrix c0 = c1;
-  covariance_downdate(serial, v, g, c1);
+  covariance_downdate(serial, w, c1);
 
   simarch::SimMachine machine(simarch::generic(5));
   simarch::SimContext sim(machine, 0, 5);
   Matrix c2 = c0;
-  covariance_downdate(sim, v, g, c2);
+  covariance_downdate(sim, w, c2);
 
   EXPECT_EQ(c1, c2);
 }
