@@ -138,7 +138,7 @@ int run_all(const std::string& out_path) {
         c = c0;
         h.run("covariance_downdate", b->name, w.rows(), w.cols(), t, flops,
               bytes, [&](par::ExecContext& ctx) {
-                b->covariance_downdate(ctx, w, c);
+                b->covariance_downdate(ctx, w, linalg::WholeRun(w.cols()), c);
               });
       }
     }
@@ -170,6 +170,32 @@ int run_all(const std::string& out_path) {
     Matrix c0(n, n);
     for (Index i = 0; i < n; ++i) c0(i, i) = 1.0;
     downdate_rows(w, c0);
+
+    // The root's early batches (1-14) couple domains 0, 1, 5 and 6 only:
+    // 1560 of the 2697 columns, which the sweep widens to cache lines and
+    // reads from W's padded panel (row stride 2704).  Charged for the
+    // active triangle only, so its GF/s compare with the full rows'.
+    const std::vector<linalg::ColumnRun> runs = {{0, 792}, {1920, 2697}};
+    const double active = 1560.0;
+    Matrix panel(m, 2704);
+    for (Index k = 0; k < m; ++k) {
+      for (const linalg::ColumnRun& r : runs) {
+        for (Index j = r.begin; j < r.end; ++j) panel(k, j) = w(k, j);
+      }
+    }
+    const double flops = static_cast<double>(m) * active * (active + 1.0);
+    const double bytes =
+        8.0 * (active * (active + 1.0) + static_cast<double>(m) * active);
+    Matrix c;
+    for (const int t : thread_counts) {
+      for (const Backend* b : {impls[0], impls[1]}) {
+        c = c0;
+        h.run("covariance_downdate_active", b->name, m, n, t, flops, bytes,
+              [&](par::ExecContext& ctx) {
+                b->covariance_downdate(ctx, panel, runs, c);
+              });
+      }
+    }
   }
 
   for (const Index sz : trsm_sizes) {

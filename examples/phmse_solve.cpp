@@ -18,7 +18,11 @@
 // Without --flat, the molecule is decomposed automatically by partitioning
 // the constraint graph (paper Section 5), scheduled across the threads
 // (Section 4.3), and solved hierarchically.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <thread>
@@ -57,6 +61,38 @@ int usage() {
   return 2;
 }
 
+// Strict numeric flag values: the whole argument must be one number (no
+// trailing text, no overflow), and a real must be finite.  Ranges (batch
+// >= 1, prior > 0, ...) are checked by Engine::compile, whose errors name
+// the option.
+bool parse_integer(const char* flag, const char* v, long& out) {
+  errno = 0;
+  char* end = nullptr;
+  const long x = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || x < INT_MIN ||
+      x > INT_MAX) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (need an integer)\n",
+                 flag, v);
+    return false;
+  }
+  out = x;
+  return true;
+}
+
+bool parse_real(const char* flag, const char* v, double& out) {
+  errno = 0;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno == ERANGE || !std::isfinite(x)) {
+    std::fprintf(stderr,
+                 "invalid value for %s: '%s' (need a finite number)\n", flag,
+                 v);
+    return false;
+  }
+  out = x;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Options& o) {
   if (argc < 3) return false;
   o.structure = argv[1];
@@ -78,28 +114,30 @@ bool parse_args(int argc, char** argv, Options& o) {
       o.out = v;
     } else if (a == "--cycles") {
       const char* v = next("--cycles");
-      if (v == nullptr) return false;
-      o.cycles = std::atoi(v);
+      long x = 0;
+      if (v == nullptr || !parse_integer("--cycles", v, x)) return false;
+      o.cycles = static_cast<int>(x);
     } else if (a == "--tol") {
       const char* v = next("--tol");
-      if (v == nullptr) return false;
-      o.tol = std::atof(v);
+      if (v == nullptr || !parse_real("--tol", v, o.tol)) return false;
     } else if (a == "--prior") {
       const char* v = next("--prior");
-      if (v == nullptr) return false;
-      o.prior = std::atof(v);
+      if (v == nullptr || !parse_real("--prior", v, o.prior)) return false;
     } else if (a == "--batch") {
       const char* v = next("--batch");
-      if (v == nullptr) return false;
-      o.batch = std::atol(v);
+      long x = 0;
+      if (v == nullptr || !parse_integer("--batch", v, x)) return false;
+      o.batch = static_cast<Index>(x);
     } else if (a == "--threads") {
       const char* v = next("--threads");
-      if (v == nullptr) return false;
-      o.threads = std::atoi(v);
+      long x = 0;
+      if (v == nullptr || !parse_integer("--threads", v, x)) return false;
+      o.threads = static_cast<int>(x);
     } else if (a == "--leaf") {
       const char* v = next("--leaf");
-      if (v == nullptr) return false;
-      o.leaf = std::atol(v);
+      long x = 0;
+      if (v == nullptr || !parse_integer("--leaf", v, x)) return false;
+      o.leaf = static_cast<Index>(x);
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return false;

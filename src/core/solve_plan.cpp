@@ -74,6 +74,15 @@ SolvePlan::SolvePlan(Hierarchy& hierarchy, const HierSolveOptions& options)
                  w.node->constraints.size());
     w.updater.set_backend(backend_);
     w.updater.reserve(max_m, n);
+    if (!w.children.empty()) {
+      // The sweep starts from the block-diagonal assembly of the children:
+      // the updater skips the blocks its batches have not coupled yet.
+      std::vector<Index> offsets{0};
+      for (std::size_t ci : w.children) {
+        offsets.push_back(offsets.back() + nodes_[ci].node->dim());
+      }
+      w.updater.set_blocks(offsets);
+    }
   }
   // Incremental bookkeeping (DESIGN.md §11), all preallocated so marking,
   // scheduling and checkpointing never allocate on the steady-state path.

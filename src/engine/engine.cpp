@@ -107,6 +107,33 @@ core::WorkModel calibrate_work_model(core::Hierarchy& hierarchy,
   }
 }
 
+// Input boundary for the per-solve parameters: a bad value fails here,
+// naming the field, instead of deep inside a kernel (a zero or overflowing
+// prior surfaced as a non-positive-definite innovation matrix).
+void validate_solve_options(const core::HierSolveOptions& solve) {
+  auto fail = [](const char* field, const char* rule, double got) {
+    std::ostringstream msg;
+    msg << "CompileOptions.solve." << field << " must be " << rule << " (got "
+        << got << ")";
+    throw Error(msg.str());
+  };
+  if (solve.batch_size < 1) {
+    fail("batch_size", ">= 1", static_cast<double>(solve.batch_size));
+  }
+  if (solve.max_cycles < 1) {
+    fail("max_cycles", ">= 1", solve.max_cycles);
+  }
+  const double prior_var = solve.prior_sigma * solve.prior_sigma;
+  if (!std::isfinite(solve.prior_sigma) || !(solve.prior_sigma > 0.0) ||
+      !std::isfinite(prior_var) || !(prior_var > 0.0)) {
+    fail("prior_sigma", "finite and > 0 with a finite, nonzero square",
+         solve.prior_sigma);
+  }
+  if (!std::isfinite(solve.tolerance) || !(solve.tolerance >= 0.0)) {
+    fail("tolerance", "finite and >= 0", solve.tolerance);
+  }
+}
+
 }  // namespace
 
 Problem Problem::flat(Index num_atoms, cons::ConstraintSet constraints) {
@@ -140,6 +167,7 @@ Plan Engine::compile(const Problem& problem, const CompileOptions& options) {
   PHMSE_CHECK(problem.decompose != nullptr,
               "problem has no decomposition recipe");
   PHMSE_CHECK(options.processors >= 1, "processor count must be >= 1");
+  validate_solve_options(options.solve);
 
   Plan plan;
   Stopwatch total;

@@ -1,7 +1,9 @@
 #include "estimation/update.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "estimation/fault_injection.hpp"
 #include "linalg/backend.hpp"
@@ -25,6 +27,18 @@ struct ScopeExit {
 };
 template <class Fn>
 ScopeExit(Fn) -> ScopeExit<Fn>;
+
+// Columns the downdate runs are widened to (one 64-byte line of doubles).
+constexpr Index kRunAlign = 8;
+
+// Row stride of the W panel: n rounded up to whole cache lines, plus one
+// more line when the stride is a multiple of 4 KiB, so consecutive W rows
+// do not map to the same L1 sets.
+Index panel_stride(Index n) {
+  Index stride = (n + kRunAlign - 1) / kRunAlign * kRunAlign;
+  if (stride % 512 == 0) stride += kRunAlign;
+  return stride;
+}
 
 }  // namespace
 
@@ -107,8 +121,134 @@ BatchOutcome BatchUpdater::apply(par::ExecContext& ctx, NodeState& state,
                                  std::span<const cons::Constraint> batch,
                                  const SolvePolicy& policy,
                                  Index batch_index) {
+  begin_sweep_(state);
   const ScopeExit restore{[&] { finish_sweep_(ctx, state); }};
   return apply_batch_(ctx, state, batch, policy, batch_index);
+}
+
+void BatchUpdater::set_blocks(std::span<const Index> offsets) {
+  PHMSE_CHECK(!offsets.empty() && offsets.front() == 0 &&
+                  std::is_sorted(offsets.begin(), offsets.end()),
+              "set_blocks: offsets must start at 0 and not decrease");
+  block_offsets_.clear();
+  for (const Index o : offsets) {
+    if (block_offsets_.empty() || o != block_offsets_.back()) {
+      block_offsets_.push_back(o);
+    }
+  }
+  const std::size_t blocks = block_offsets_.size() - 1;
+  block_parent_.resize(blocks);
+  block_hit_.assign(blocks, 0);
+  runs_.reserve(std::max<std::size_t>(blocks, 1));
+}
+
+void BatchUpdater::begin_sweep_(const NodeState& state) {
+  if (block_offsets_.empty()) {
+    components_ = 1;
+    return;
+  }
+  PHMSE_CHECK(block_offsets_.back() == state.dim(),
+              "set_blocks: the blocks must tile the node's state");
+  components_ = static_cast<Index>(block_parent_.size());
+  for (std::size_t b = 0; b < block_parent_.size(); ++b) {
+    block_parent_[b] = static_cast<Index>(b);
+  }
+}
+
+Index BatchUpdater::find_block_(Index b) {
+  while (block_parent_[static_cast<std::size_t>(b)] != b) {
+    Index& parent = block_parent_[static_cast<std::size_t>(b)];
+    parent = block_parent_[static_cast<std::size_t>(parent)];
+    b = parent;
+  }
+  return b;
+}
+
+void BatchUpdater::plan_runs_(Index n) {
+  runs_.clear();
+  if (components_ > 1) {
+    // Block b ends at ends[b]; a column belongs to the first block ending
+    // past it.
+    const std::span<const Index> ends =
+        std::span<const Index>(block_offsets_).subspan(1);
+    auto root_of = [&](Index col) {
+      return find_block_(static_cast<Index>(
+          std::upper_bound(ends.begin(), ends.end(), col) - ends.begin()));
+    };
+    // One constraint row couples every block it touches.
+    for (Index r = 0; r < h_.rows(); ++r) {
+      Index first = -1;
+      for (const Index col : h_.row_indices(r)) {
+        const Index root = root_of(col);
+        if (first < 0) {
+          first = root;
+        } else if (root != first) {
+          block_parent_[static_cast<std::size_t>(root)] = first;
+          --components_;
+        }
+      }
+    }
+    if (components_ > 1) {
+      for (Index r = 0; r < h_.rows(); ++r) {
+        for (const Index col : h_.row_indices(r)) {
+          block_hit_[static_cast<std::size_t>(root_of(col))] = 1;
+        }
+      }
+      // Runs of consecutive active blocks, widened outward to whole cache
+      // lines of the panel (exact: W is zero on the extra columns).
+      for (std::size_t b = 0; b < ends.size(); ++b) {
+        const Index root = find_block_(static_cast<Index>(b));
+        if (!block_hit_[static_cast<std::size_t>(root)]) continue;
+        const Index begin = block_offsets_[b] / kRunAlign * kRunAlign;
+        const Index end =
+            std::min(n, (ends[b] + kRunAlign - 1) / kRunAlign * kRunAlign);
+        if (!runs_.empty() && begin <= runs_.back().end) {
+          runs_.back().end = std::max(runs_.back().end, end);
+        } else {
+          runs_.push_back({begin, end});
+        }
+      }
+      std::fill(block_hit_.begin(), block_hit_.end(), 0);
+      return;
+    }
+  }
+  if (n > 0) runs_.push_back({0, n});
+}
+
+void BatchUpdater::fill_panel_(Index n) {
+  const Index m = g_.rows();
+  panel_.resize(m, panel_stride(n));
+  const bool full = runs_.size() == 1 && runs_[0].begin == 0 &&
+                    runs_[0].end == n;
+  // Bit tests, so the checks vectorize: an exponent of all ones is inf or
+  // NaN, and any bit but the sign makes a nonzero.
+  constexpr std::uint64_t kExponent = 0x7ff0000000000000ULL;
+  constexpr std::uint64_t kMagnitude = 0x7fffffffffffffffULL;
+  std::uint64_t nonfinite = 0;
+  std::uint64_t outside = 0;
+  for (Index k = 0; k < m; ++k) {
+    const double* const src = g_.row(k).data();
+    std::copy(src, src + n, panel_.row(k).data());
+    if (full) continue;  // nothing is skipped: no check needed
+    for (Index j = 0; j < n; ++j) {
+      const std::uint64_t b = std::bit_cast<std::uint64_t>(src[j]);
+      nonfinite |= static_cast<std::uint64_t>((b & kExponent) == kExponent);
+    }
+    Index j = 0;
+    for (const linalg::ColumnRun& run : runs_) {
+      for (; j < run.begin; ++j) {
+        outside |= std::bit_cast<std::uint64_t>(src[j]) & kMagnitude;
+      }
+      j = run.end;
+    }
+    for (; j < n; ++j) {
+      outside |= std::bit_cast<std::uint64_t>(src[j]) & kMagnitude;
+    }
+  }
+  if (nonfinite == 0 && outside == 0) return;
+  runs_.clear();
+  runs_.push_back({0, n});
+  components_ = 1;
 }
 
 void BatchUpdater::finish_sweep_(par::ExecContext& ctx, NodeState& state) {
@@ -243,8 +383,10 @@ BatchOutcome BatchUpdater::apply_batch_(par::ExecContext& ctx,
   dx_.assign(static_cast<std::size_t>(n), 0.0);
   be.gain_times_residual(ctx, g_, w_, dx_);          // dx = W^T w        m-v
   linalg::vec_add_inplace(ctx, dx_, state.x);        // x += dx           vec
+  plan_runs_(n);                                     // blocks coupled so far
+  fill_panel_(n);                                    // aligned copy of W
   upper_stale_ = true;
-  be.covariance_downdate(ctx, g_, state.c);          // C -= W^T W (lower) m-v
+  be.covariance_downdate(ctx, panel_, runs_, state.c);  // C -= W^T W     m-v
   return out;
 }
 
@@ -286,10 +428,13 @@ void BatchUpdater::reserve(Index max_m, Index n) {
   w_.reserve(m);
   touched_.reserve(m * static_cast<std::size_t>(kMaxRowNnz));
   dx_.reserve(static_cast<std::size_t>(n));
+  runs_.reserve(1);
   g_.resize(max_m, n);
   s_.resize(max_m, max_m);
+  panel_.resize(max_m, panel_stride(n));
   g_.resize(0, 0);
   s_.resize(0, 0);
+  panel_.resize(0, 0);
 }
 
 void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
@@ -306,6 +451,7 @@ void BatchUpdater::apply_all(par::ExecContext& ctx, NodeState& state,
   arch_vals_.resize(slots);
   arch_len_.assign(static_cast<std::size_t>(set.size()), -1);
   Index applied_batches = 0;
+  begin_sweep_(state);
   // The sweep keeps only C's lower triangle current; the upper one is
   // restored once, here on the way out (also on a cancel or abort throw).
   const ScopeExit restore{[&] { finish_sweep_(ctx, state); }};

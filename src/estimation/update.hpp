@@ -17,6 +17,23 @@
 // when the sweep ends (mirror_lower).  Outside a sweep C is always
 // symmetric.
 //
+// Structural zeros.  An interior node's sweep starts from the block-diagonal
+// assembly of its children: C is +0 between child blocks until a batch's
+// constraints couple them, and so is W on the blocks a batch has not
+// reached.  The updater keeps a union-find over the child blocks
+// (set_blocks), merges the blocks each constraint row touches, and runs the
+// downdate only over the blocks of the components the batch touched (the
+// active runs, widened to multiples of 8 columns).  A skipped entry would
+// only have received +-0 products, and x + (+-0) == x unless x is -0; C
+// never holds -0 (it starts at +0 or positive values, and an fma returns -0
+// only when both addends are -0).  So the skip is exact.  Before each
+// downdate W is copied into a 64-byte-aligned panel whose row stride is
+// padded (n rounded up to 8 doubles, plus 8 when that is a multiple of 512,
+// to avoid 4 KiB set aliasing); while copying, the updater checks that W
+// is finite and exactly zero outside the runs, and otherwise downdates the
+// full triangle and stops skipping for the rest of the sweep.  Posteriors
+// are therefore bitwise those of the full downdate, with or without blocks.
+//
 // BatchUpdater owns the scratch buffers so repeated application over
 // thousands of batches does not allocate.
 #pragma once
@@ -28,6 +45,8 @@
 #include "estimation/policy.hpp"
 #include "estimation/state.hpp"
 #include "linalg/csr.hpp"
+#include "linalg/matrix.hpp"
+#include "linalg/runs.hpp"
 #include "parallel/exec.hpp"
 
 namespace phmse::linalg {
@@ -46,6 +65,15 @@ class BatchUpdater {
   /// apply so a test that swaps PHMSE_BACKEND between solves is honored.
   /// The pointer must outlive the updater; registry backends are static.
   void set_backend(const linalg::Backend* backend) { backend_ = backend; }
+
+  /// Declares the node's child blocks: state indices [offsets[b],
+  /// offsets[b+1]) belong to child b.  `offsets` must start at 0 and be
+  /// non-decreasing (empty blocks are dropped); at every sweep its last
+  /// entry must equal the state dimension.  Each sweep then downdates only
+  /// the blocks its batches have coupled so far (see the file comment).
+  /// Called once at plan build; leaves and flat nodes have no blocks and
+  /// always downdate the full triangle.
+  void set_blocks(std::span<const Index> offsets);
 
   /// Multiplies every constraint's noise variance by `scale` at
   /// linearization time — the annealing seam of DESIGN.md §14: inflating
@@ -115,8 +143,25 @@ class BatchUpdater {
                             std::span<const cons::Constraint> batch,
                             const SolvePolicy& policy, Index batch_index);
 
+  /// Starts a sweep over `state`: every child block is its own component
+  /// again, because the sweep starts from the block-diagonal assembly.
+  void begin_sweep_(const NodeState& state);
+
   /// Restores C's upper triangle after a sweep that downdated it.
   void finish_sweep_(par::ExecContext& ctx, NodeState& state);
+
+  /// Union-find root of block b (path halving).
+  Index find_block_(Index b);
+
+  /// Merges the blocks each row of h_ touches and sets runs_ to the blocks
+  /// of every component the batch touched, widened to multiples of 8
+  /// columns ([0, n) once a single component is left).
+  void plan_runs_(Index n);
+
+  /// Copies W (g_) into panel_.  When W is not finite or not exactly zero
+  /// outside runs_, sets runs_ to the whole state and stops skipping for
+  /// the rest of the sweep.
+  void fill_panel_(Index n);
 
   /// Evaluates the batch at the current state: fills residual_, rdiag_ and
   /// the Jacobian, and records whether every position read was finite.
@@ -146,6 +191,14 @@ class BatchUpdater {
   linalg::Vector dx_;       // state correction (n)
   linalg::Vector w_;        // whitened residual L^-1 r (m)
   std::vector<Index> touched_;  // ascending columns of h_ (rows G reads)
+  linalg::Matrix panel_;        // W, padded row stride (see file comment)
+  std::vector<linalg::ColumnRun> runs_;  // this batch's active runs
+  /// Child block boundaries (set_blocks); empty = one block.
+  std::vector<Index> block_offsets_;
+  std::vector<Index> block_parent_;        // union-find over the blocks
+  std::vector<unsigned char> block_hit_;   // scratch: components touched
+  /// Components left in the union-find; <= 1 downdates the full triangle.
+  Index components_ = 1;
   bool positions_finite_ = true;  // set by linearize
   /// True from a sweep's first downdate until finish_sweep_: C's upper
   /// triangle is stale outside the rows mirrored since.

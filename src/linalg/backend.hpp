@@ -36,6 +36,7 @@
 
 #include "linalg/csr.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/runs.hpp"
 #include "linalg/status.hpp"
 #include "parallel/exec.hpp"
 
@@ -60,8 +61,20 @@ struct Backend {
   void (*trsm_lower_transposed)(par::ExecContext&, const Matrix&, Matrix&);
   void (*gain_times_residual)(par::ExecContext&, const Matrix&, const Vector&,
                               Vector&);
-  /// Lower triangle only (see linalg::covariance_downdate).
-  void (*covariance_downdate)(par::ExecContext&, const Matrix&, Matrix&);
+  /// Lower triangle of C -= W^T W over the active runs: covariance_downdate
+  /// (ctx, w, runs, c) updates C(i, j), j <= i, only where i and j both lie
+  /// in one of `runs` (ascending, disjoint, inside [0, n); see runs.hpp).
+  /// W is m x ldw with ldw = w.cols() >= n, so a padded panel can be passed
+  /// as is; only W's columns inside the runs are read.
+  ///
+  /// Skipping is exact when W is +-0 on every column outside the runs, W
+  /// is finite, and C holds no -0 there: each skipped entry would have
+  /// received +-0 products, and x + (+-0) == x for every x except -0.
+  /// The caller guarantees these (est::BatchUpdater checks W and falls
+  /// back to the single run [0, n)).  With runs = {[0, n)} this is
+  /// linalg::covariance_downdate(ctx, w, c).
+  void (*covariance_downdate)(par::ExecContext&, const Matrix&,
+                              std::span<const ColumnRun>, Matrix&);
   void (*gram)(par::ExecContext&, const Matrix&, Matrix&);
   CholeskyResult (*cholesky_factor)(par::ExecContext&, Matrix&,
                                     Index block_size);

@@ -27,9 +27,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/runs.hpp"
 #include "linalg/status.hpp"
 #include "parallel/exec.hpp"
 #include "parallel/partition.hpp"
@@ -119,77 +121,110 @@ void trsm_impl(par::ExecContext& ctx, const Matrix& l, Matrix& b) {
   ctx.parallel(perf::Category::kSystemSolve, k, cost, body);
 }
 
-// Row tile of the lower-triangle covariance downdate.  Tile t covers rows
-// [i0, i1) = [t*R, (t+1)*R) and updates the rectangle [i0, i1) x [0, i1):
-// the triangle plus a few entries above the diagonal (R/2 per row on
-// average), which the caller's mirror overwrites anyway.  Small enough that
-// pairing tiles balances lanes at P = 2..4 (see covariance_downdate_impl),
-// large enough that each tile reuses the resident W strip across several
-// microkernel row tiles.
+// Row tile of the lower-triangle covariance downdate: kDowndateRowTile
+// consecutive active rows (rows inside the runs, counted in order).  A tile
+// updates, for each of its rows i in run r, the columns of the runs before
+// r and of run r up to the tile's last row there: the restricted triangle
+// plus a few entries above the diagonal (R/2 per row on average), which the
+// caller's mirror overwrites anyway.  Small enough that pairing tiles
+// balances lanes at P = 2..4 (see covariance_downdate_impl), large enough
+// that each tile reuses the resident W strip across several microkernel row
+// tiles.
 inline constexpr Index kDowndateRowTile = 16;
 
-inline Index downdate_tiles(Index n) {
-  return (n + kDowndateRowTile - 1) / kDowndateRowTile;
+inline Index downdate_tiles(std::span<const ColumnRun> runs) {
+  return (run_columns(runs) + kDowndateRowTile - 1) / kDowndateRowTile;
 }
 
-// Calls fn(i0, i1) for every row tile of the paired units [begin, end):
-// unit u is tile u with tile T-1-u, so every unit covers about T+1
-// tile-columns of the triangle.
+// Calls fn(i0, i1, r, before) for each piece of tile t that lies in one
+// run: rows [i0, i1) of run r, with `before` active columns in the runs
+// ahead of r.  A tile spans two or more runs where a run ends mid-tile.
 template <class Fn>
-void for_each_downdate_tile(Index begin, Index end, Index n, Fn&& fn) {
-  par::for_each_paired(begin, end, downdate_tiles(n), [&](Index t) {
-    const Index i0 = t * kDowndateRowTile;
-    fn(i0, std::min(i0 + kDowndateRowTile, n));
-  });
+void for_each_tile_piece(std::span<const ColumnRun> runs, Index t, Fn&& fn) {
+  const Index lo = t * kDowndateRowTile;
+  const Index hi = lo + kDowndateRowTile;
+  Index before = 0;
+  for (std::size_t r = 0; r < runs.size() && before < hi; ++r) {
+    const Index len = runs[r].end - runs[r].begin;
+    const Index a = std::max(lo, before);
+    const Index b = std::min(hi, before + len);
+    if (a < b) fn(runs[r].begin + a - before, runs[r].begin + b - before, r,
+                  before);
+    before += len;
+  }
 }
 
-// Lower triangle of C -= W^T W as rank-m panel updates over paired row
-// tiles (category m-v).  Entries strictly above the diagonal are left
-// stale except inside the diagonal tiles; mirror_rows / mirror_lower
-// restore them.  Each entry is the same ascending-k fma chain as the full
-// product, and C(i,j), C(j,i) have identical products, so the mirrored
-// result is bitwise the full product of a symmetric C.
+// Calls fn(i0, i1, r, before) for every tile piece of the paired units
+// [begin, end): unit u is tile u with tile T-1-u.  A tile's work grows with
+// its position among the active rows, so every unit costs about the same.
+template <class Fn>
+void for_each_downdate_piece(Index begin, Index end,
+                             std::span<const ColumnRun> runs, Fn&& fn) {
+  par::for_each_paired(begin, end, downdate_tiles(runs),
+                       [&](Index t) { for_each_tile_piece(runs, t, fn); });
+}
+
+// Lower triangle of C -= W^T W restricted to the active runs, as rank-m
+// panel updates over paired row tiles (category m-v).  W may be a padded
+// panel: its row stride w.cols() is at least n, and only its columns inside
+// the runs are read.  Entries strictly above the diagonal are left stale
+// except inside the diagonal tiles; mirror_rows / mirror_lower restore
+// them.  Each entry is the same ascending-k fma chain as the full product,
+// and C(i,j), C(j,i) have identical products, so the mirrored result is
+// bitwise the full product of a symmetric C wherever the runs reach.
 template <class Panels>
 void covariance_downdate_impl(par::ExecContext& ctx, const Matrix& w,
-                              Matrix& c) {
-  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == w.cols(),
+                              std::span<const ColumnRun> runs, Matrix& c) {
+  PHMSE_CHECK(c.rows() == c.cols() && w.cols() >= c.rows(),
               "covariance_downdate: C shape mismatch");
-  const Index m = w.rows();
   const Index n = c.rows();
+  PHMSE_CHECK(runs_valid(runs, n), "covariance_downdate: invalid runs");
+  const Index m = w.rows();
+  const Index ldw = w.cols();
+  const Index active = run_columns(runs);
 
   auto cost = [&](Index begin, Index end) {
     par::KernelStats st;
     double entries = 0.0;
     double rows = 0.0;
-    for_each_downdate_tile(begin, end, n, [&](Index i0, Index i1) {
-      entries += static_cast<double>(i1 - i0) * static_cast<double>(i1);
-      rows += static_cast<double>(i1 - i0);
-    });
+    for_each_downdate_piece(
+        begin, end, runs, [&](Index i0, Index i1, std::size_t r, Index before) {
+          entries += static_cast<double>(i1 - i0) *
+                     static_cast<double>(before + i1 - runs[r].begin);
+          rows += static_cast<double>(i1 - i0);
+        });
     st.flops = 2.0 * static_cast<double>(m) * entries;
-    // The triangle's C entries read+written once; W's compulsory traffic
-    // charged once.
+    // The active triangle's C entries read+written once; W's compulsory
+    // traffic (its active columns) charged once.
     st.bytes_stream =
-        kBytesPerDouble * (2.0 * entries +
-                           static_cast<double>(m) * static_cast<double>(n));
+        kBytesPerDouble * (2.0 * entries + static_cast<double>(m) *
+                                               static_cast<double>(active));
     // The blocked GEMM keeps an m x kGemmColStrip panel of W resident and
     // re-sweeps it once per register row tile; machines with a finite
     // modeled cache penalize overflow.
     st.resident_bytes =
         kBytesPerDouble * static_cast<double>(m) *
-        static_cast<double>(std::min(n, kGemmColStrip));
+        static_cast<double>(std::min(active, kGemmColStrip));
     st.resident_sweeps = rows / static_cast<double>(kGemmRowTile);
     return st;
   };
   auto body = [&](Index begin, Index end, int /*lane*/) {
     if (m <= 0) return;
-    // C[i0..i1, 0..i1) -= (W^T W)[i0..i1, 0..i1); coefficients are the
-    // columns of W.
-    for_each_downdate_tile(begin, end, n, [&](Index i0, Index i1) {
-      Panels::tn_acc(-1.0, w.data() + i0, n, w.data(), n, c.row(i0).data(),
-                     n, i1 - i0, m, i1);
-    });
+    // C[i0..i1, cols) -= (W^T W)[i0..i1, cols) for the runs before the
+    // piece's own and its run up to i1; coefficients are the columns of W.
+    const double* const wd = w.data();
+    for_each_downdate_piece(
+        begin, end, runs, [&](Index i0, Index i1, std::size_t r, Index) {
+          double* const crow = c.row(i0).data();
+          for (std::size_t s = 0; s <= r; ++s) {
+            const Index j0 = runs[s].begin;
+            const Index j1 = s == r ? i1 : runs[s].end;
+            Panels::tn_acc(-1.0, wd + i0, ldw, wd + j0, ldw, crow + j0, n,
+                           i1 - i0, m, j1 - j0);
+          }
+        });
   };
-  ctx.parallel(perf::Category::kMatVec, par::paired_units(downdate_tiles(n)),
+  ctx.parallel(perf::Category::kMatVec, par::paired_units(downdate_tiles(runs)),
                cost, body);
 }
 

@@ -52,7 +52,8 @@ void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
 }
 
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
-  default_backend().covariance_downdate(ctx, w, c);
+  PHMSE_CHECK(w.cols() == c.rows(), "covariance_downdate: C shape mismatch");
+  default_backend().covariance_downdate(ctx, w, WholeRun(c.rows()), c);
 }
 
 void covariance_downdate(par::ExecContext& ctx, const Matrix& v,

@@ -30,6 +30,7 @@
 
 #include "linalg/csr.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/runs.hpp"
 #include "parallel/exec.hpp"
 
 namespace phmse::linalg {
@@ -71,6 +72,15 @@ void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
 /// of a bitwise-symmetric C is bitwise the full product.  Parallel over
 /// pairs of row tiles (t, T-1-t), so an even split gives every lane the same
 /// share of the triangle.  Category: m-v (see file comment).
+///
+/// This free function updates the whole triangle.  A node's sweep calls
+/// the Backend entry instead, which takes the active runs (runs.hpp): it
+/// updates only the entries whose row and column both lie in a run, and
+/// reads W from a padded panel whose row stride w.cols() may exceed n.
+/// Skipping the rest is exact when W is finite and +-0 outside the runs
+/// and C holds no -0 there, since x + (+-0) == x for every other x.
+/// est::BatchUpdater builds the runs from a node's child blocks, checks W
+/// while copying it into the panel, and falls back to the whole triangle.
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
 
 /// The full C -= V^T * G for a symmetric C: the lower-triangle downdate

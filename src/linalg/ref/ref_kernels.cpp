@@ -98,38 +98,63 @@ void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l,
 }
 
 void covariance_downdate(par::ExecContext& ctx, const Matrix& w,
-                         Matrix& c) {
-  PHMSE_CHECK(c.rows() == c.cols() && c.rows() == w.cols(),
+                         std::span<const ColumnRun> runs, Matrix& c) {
+  PHMSE_CHECK(c.rows() == c.cols() && w.cols() >= c.rows(),
               "covariance_downdate: C shape mismatch");
-  const Index m = w.rows();
   const Index n = c.rows();
-  // Unit u pairs row u with row n-1-u: every unit updates n+1 entries.
+  PHMSE_CHECK(runs_valid(runs, n), "covariance_downdate: invalid runs");
+  const Index m = w.rows();
+  const Index active = run_columns(runs);
+  // Active row u (counting the runs' rows in order) is row i of run r;
+  // `before` counts the active columns of the runs ahead of r.
+  auto active_row = [&](Index u, std::size_t& r, Index& before) {
+    r = 0;
+    before = 0;
+    while (u >= runs[r].end - runs[r].begin) {
+      u -= runs[r].end - runs[r].begin;
+      before += runs[r].end - runs[r].begin;
+      ++r;
+    }
+    return runs[r].begin + u;
+  };
+  // Unit u pairs active row u with active row A-1-u: every unit updates
+  // about A+1 entries.
   auto cost = [&](Index begin, Index end) {
     KernelStats st;
     double entries = 0.0;
     double rows = 0.0;
-    par::for_each_paired(begin, end, n, [&](Index i) {
-      entries += static_cast<double>(i + 1);
+    par::for_each_paired(begin, end, active, [&](Index u) {
+      std::size_t r = 0;
+      Index before = 0;
+      const Index i = active_row(u, r, before);
+      entries += static_cast<double>(before + i + 1 - runs[r].begin);
       rows += 1.0;
     });
     st.flops = 2.0 * static_cast<double>(m) * entries;
     st.bytes_stream =
         kBytes * (2.0 * entries +
-                  static_cast<double>(m) * static_cast<double>(n));
+                  static_cast<double>(m) * static_cast<double>(active));
     st.resident_bytes = kBytes * static_cast<double>(m) *
-                        static_cast<double>(n);
+                        static_cast<double>(active);
     st.resident_sweeps = rows;
     return st;
   };
   auto body = [&](Index begin, Index end, int /*lane*/) {
-    par::for_each_paired(begin, end, n, [&](Index i) {
+    par::for_each_paired(begin, end, active, [&](Index u) {
+      std::size_t r = 0;
+      Index before = 0;
+      const Index i = active_row(u, r, before);
       double* crow = c.row(i).data();
-      for (Index k = 0; k < m; ++k) {
-        axpy(-w(k, i), w.row(k).data(), crow, i + 1);
+      for (std::size_t s = 0; s <= r; ++s) {
+        const Index j0 = runs[s].begin;
+        const Index j1 = s == r ? i + 1 : runs[s].end;
+        for (Index k = 0; k < m; ++k) {
+          axpy(-w(k, i), w.row(k).data() + j0, crow + j0, j1 - j0);
+        }
       }
     });
   };
-  ctx.parallel(Category::kMatVec, par::paired_units(n), cost, body);
+  ctx.parallel(Category::kMatVec, par::paired_units(active), cost, body);
 }
 
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out) {

@@ -18,7 +18,10 @@
 // execution of the reference itself.
 #pragma once
 
+#include <span>
+
 #include "linalg/matrix.hpp"
+#include "linalg/runs.hpp"
 #include "linalg/status.hpp"
 #include "parallel/exec.hpp"
 
@@ -30,9 +33,11 @@ void trsm_lower(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 /// In-place backward solve B <- L^{-T} B; scalar column-sweep reference.
 void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 
-/// Lower triangle (j <= i) of C -= W^T * W; scalar row-axpy reference
-/// over paired rows (i, n-1-i).  Entries above the diagonal are untouched.
-void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
+/// Lower triangle (j <= i) of C -= W^T * W over the active runs (i and j
+/// both inside a run); scalar row-axpy reference over paired active rows.
+/// Entries above the diagonal are untouched.
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w,
+                         std::span<const ColumnRun> runs, Matrix& c);
 
 /// out = W^T * W (out resized to n x n); scalar row-axpy reference.
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out);

@@ -814,8 +814,9 @@ void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
   ctx.parallel(Category::kMatVec, v.cols(), cost, body);
 }
 
-void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c) {
-  detail::covariance_downdate_impl<SimdPanels>(ctx, w, c);
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w,
+                         std::span<const ColumnRun> runs, Matrix& c) {
+  detail::covariance_downdate_impl<SimdPanels>(ctx, w, runs, c);
 }
 
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out) {

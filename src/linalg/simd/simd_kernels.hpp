@@ -29,12 +29,14 @@
 // hosts.  An unknown or unsupported value fails fast.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "linalg/csr.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/runs.hpp"
 #include "linalg/status.hpp"
 #include "parallel/exec.hpp"
 
@@ -63,9 +65,11 @@ void trsm_lower_transposed(par::ExecContext& ctx, const Matrix& l, Matrix& b);
 void gain_times_residual(par::ExecContext& ctx, const Matrix& v,
                          const Vector& r, Vector& dx);
 
-/// Lower triangle of C -= W^T * W as simd rank-m panel updates over
-/// paired row tiles (detail::covariance_downdate_impl).  Category: m-v.
-void covariance_downdate(par::ExecContext& ctx, const Matrix& w, Matrix& c);
+/// Lower triangle of C -= W^T * W over the active runs, as simd
+/// rank-m panel updates over paired row tiles
+/// (detail::covariance_downdate_impl).  Category: m-v.
+void covariance_downdate(par::ExecContext& ctx, const Matrix& w,
+                         std::span<const ColumnRun> runs, Matrix& c);
 
 /// out = W^T * W with simd panels and strip-wise zero-init.  Category: m-m.
 void gram(par::ExecContext& ctx, const Matrix& w, Matrix& out);

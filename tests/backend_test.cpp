@@ -217,13 +217,13 @@ TEST(BackendDifferential, DensePrimitivesMatchRefOnEveryBackend) {
       const Matrix v = random_matrix(m, n, rng);
       const Matrix c0 = random_spd(n, rng);
       Matrix c_ref = c0;
-      oracle.covariance_downdate(ctx, v, c_ref);
+      oracle.covariance_downdate(ctx, v, WholeRun(v.cols()), c_ref);
       mirror_lower(ctx, c_ref);
       Matrix gram_ref;
       oracle.gram(ctx, v, gram_ref);
       for (const Backend* b : all_backends()) {
         Matrix c = c0;
-        b->covariance_downdate(ctx, v, c);
+        b->covariance_downdate(ctx, v, WholeRun(v.cols()), c);
         mirror_lower(ctx, c);
         expect_close(c, c_ref, 4.0,
                      tag("covariance_downdate", b->name, m, n));
@@ -344,7 +344,7 @@ TEST(BackendDeterminism, SerialVsThreadedBitwiseIdenticalPerBackend) {
         serial_and_threaded(
             [&](par::ExecContext& ctx, Matrix& out) {
               out = c0;
-              b->covariance_downdate(ctx, v, out);
+              b->covariance_downdate(ctx, v, WholeRun(v.cols()), out);
             },
             s_out, t_out);
         expect_bitwise(s_out, t_out,

@@ -111,11 +111,12 @@ TEST(EdgeCases, ResetCovarianceRejectsNonPositiveSigma) {
 }
 
 TEST(EdgeCases, SolverRejectsZeroCycles) {
+  // Rejected at the input boundary: the plan is never built.
   engine::CompileOptions copts;
   copts.solve.max_cycles = 0;
-  engine::Plan plan = engine::Engine::compile(
-      engine::Problem::flat(1, cons::ConstraintSet{}), copts);
-  EXPECT_THROW(plan.solve({0.0, 0.0, 0.0}), Error);
+  EXPECT_THROW(engine::Engine::compile(
+                   engine::Problem::flat(1, cons::ConstraintSet{}), copts),
+               Error);
 }
 
 TEST(EdgeCases, HierarchyWithEmptyAtomRangeLeafIsValid) {

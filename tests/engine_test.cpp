@@ -5,6 +5,9 @@
 // observation rebinding, compile timings, and the describe() dump.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "constraints/helix_gen.hpp"
@@ -240,6 +243,50 @@ TEST(Engine, CompileValidatesTheDecomposition) {
 
   Problem empty;
   EXPECT_THROW(Engine::compile(empty), phmse::Error);
+}
+
+// Bad per-solve parameters fail at compile with an error naming the field,
+// before any decomposition or kernel runs (a zero or overflowing prior used
+// to surface as a non-positive-definite innovation matrix mid-solve).
+TEST(Engine, CompileRejectsBadSolveOptions) {
+  Fixture f;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto with = [](auto edit) {
+    CompileOptions o = Fixture::options();
+    edit(o.solve);
+    return o;
+  };
+  const std::vector<std::pair<std::string, CompileOptions>> cases = {
+      {"batch_size", with([](auto& s) { s.batch_size = 0; })},
+      {"batch_size", with([](auto& s) { s.batch_size = -3; })},
+      {"max_cycles", with([](auto& s) { s.max_cycles = 0; })},
+      {"prior_sigma", with([](auto& s) { s.prior_sigma = 0.0; })},
+      {"prior_sigma", with([](auto& s) { s.prior_sigma = -0.5; })},
+      {"prior_sigma", with([&](auto& s) { s.prior_sigma = inf; })},
+      {"prior_sigma", with([&](auto& s) { s.prior_sigma = nan; })},
+      {"prior_sigma", with([](auto& s) { s.prior_sigma = 1e200; })},
+      {"prior_sigma", with([](auto& s) { s.prior_sigma = 1e-200; })},
+      {"tolerance", with([](auto& s) { s.tolerance = -1e-9; })},
+      {"tolerance", with([&](auto& s) { s.tolerance = nan; })},
+      {"tolerance", with([&](auto& s) { s.tolerance = inf; })},
+  };
+  for (const auto& [field, options] : cases) {
+    try {
+      (void)Engine::compile(f.problem(), options);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const phmse::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("solve." + field),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The edges of the valid ranges still compile.
+  CompileOptions o = Fixture::options(1);
+  o.solve.batch_size = 1;
+  o.solve.tolerance = 0.0;
+  o.solve.prior_sigma = 1e-100;
+  EXPECT_NO_THROW((void)Engine::compile(f.problem(), o));
 }
 
 TEST(Engine, CompileTimingsArePhased) {

@@ -117,7 +117,7 @@ TEST(KernelsOracle, CovarianceDowndateMatchesRef) {
       Matrix c_ref = c0;
       covariance_downdate(ctx, w, c_blocked);
       mirror_lower(ctx, c_blocked);
-      ref::covariance_downdate(ctx, w, c_ref);
+      ref::covariance_downdate(ctx, w, WholeRun(w.cols()), c_ref);
       mirror_lower(ctx, c_ref);
       expect_close(c_blocked, c_ref, 4.0,
                    shape_tag("covariance_downdate", m, n));
